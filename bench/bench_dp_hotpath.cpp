@@ -253,7 +253,6 @@ int main(int argc, char** argv) {
     canary_cs.add(1, 3);
     canary_cs.add(7, 9);
     canary_cs.add(4, 6);
-    const ChannelIndex canary_idx(canary_ch);
     const auto cw = weights::occupied_length();
     std::cout << "\nregistry sweep (canary instance, by-name dispatch)\n";
     io::Table rt({"router", "ms/route", "outcome"});
@@ -261,7 +260,6 @@ int main(int argc, char** argv) {
       RouteRequest rq;
       rq.channel = &canary_ch;
       rq.connections = &canary_cs;
-      rq.context.index = &canary_idx;
       if (e.caps.requires_weight) rq.options.weight = cw;
       alg::RouteResult last;
       const double ms = time_ms_per_call(

@@ -2,12 +2,12 @@
 //
 // The workload routes a fixed channel over and over: 8 distinct
 // connection sets, cycled `repeats` times — the access pattern of
-// capacity sweeps, portfolio racing and Monte-Carlo studies. Three
-// paths route the identical instance stream:
+// capacity sweeps and Monte-Carlo studies. Three paths route the
+// identical instance stream:
 //
-//   direct          dp_route, no index, no workspace (the historical path)
-//   engine-nocache  BatchRouter with the memo cache off: shared
-//                   ChannelIndex + per-thread scratch only
+//   direct          dp_route with no workspace (the historical path)
+//   engine-nocache  BatchRouter with the memo cache off: registry
+//                   dispatch + per-thread scratch only
 //   engine-cache    BatchRouter with the memo cache on: repeats after the
 //                   first cycle are cache hits
 //

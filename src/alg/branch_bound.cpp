@@ -100,12 +100,9 @@ RouteResult branch_bound_route(const SegmentedChannel& ch,
     const Connection& c = cs[s.order[d]];
     auto& opt = s.choices[d];
     for (TrackId t = 0; t < ch.num_tracks(); ++t) {
-      if (opts.max_segments > 0) {
-        const int spanned =
-            opts.index
-                ? opts.index->segments_spanned(t, c.left, c.right)
-                : ch.track(t).segments_spanned(c.left, c.right);
-        if (spanned > opts.max_segments) continue;
+      if (opts.max_segments > 0 &&
+          ch.track(t).segments_spanned(c.left, c.right) > opts.max_segments) {
+        continue;
       }
       const double weight = w(ch, c, t);
       if (std::isinf(weight)) continue;

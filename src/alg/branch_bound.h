@@ -11,7 +11,6 @@
 
 #include "alg/result.h"
 #include "core/channel.h"
-#include "core/channel_index.h"
 #include "core/connection.h"
 #include "core/weights.h"
 #include "harness/budget.h"
@@ -26,11 +25,6 @@ struct BranchBoundOptions {
   /// behaves like max_nodes (anytime: best-so-far if one was found, else
   /// FailureKind::kBudgetExhausted).
   harness::Budget budget;
-
-  /// Prebuilt index over the channel being routed (must match it): O(1)
-  /// segments_spanned in child generation. Results are bit-identical
-  /// with and without it.
-  const ChannelIndex* index = nullptr;
 };
 
 /// Finds a minimum-total-weight routing (or proves none exists).

@@ -12,9 +12,9 @@ namespace segroute::alg {
 
 namespace {
 
-// Direct (index-free) registry probe. min_tracks keeps using it because
-// every probe builds a *different* channel, so there is no shared
-// structure for a BatchRouter's index or cache to amortize; the
+// Direct registry probe, bypassing the engine. min_tracks keeps using it
+// because every probe builds a *different* channel, so a BatchRouter's
+// fingerprint-keyed cache and scratch have nothing to amortize; the
 // fixed-channel searches below go through the engine instead.
 bool routes(const SegmentedChannel& ch, const ConnectionSet& cs,
             const CapacityOptions& opts) {
@@ -137,8 +137,8 @@ std::optional<int> min_tracks(const ConnectionSet& cs,
 
 int max_routable_prefix(const SegmentedChannel& ch, const ConnectionSet& cs,
                         const CapacityOptions& opts) {
-  // Fixed channel, many probes: route through the engine. The shared
-  // index is built once, probes reuse per-thread scratch, and the memo
+  // Fixed channel, many probes: route through the engine. The channel
+  // is fingerprinted once, probes reuse per-thread scratch, and the memo
   // cache keeps its answers across repeated calls on the same channel
   // (e.g. a capacity sweep re-probing overlapping prefixes).
   engine::BatchOptions bo;
@@ -209,7 +209,7 @@ double routability(const SegmentedChannel& ch,
   // trial, in trial order, so both the master stream consumption and
   // every trial's workload are independent of the thread count. The
   // workloads are drawn up front (same streams, same order) and routed
-  // as one engine batch: shared index and per-thread scratch, memo
+  // as one engine batch: per-thread scratch, memo
   // cache off — independently drawn random workloads essentially never
   // repeat, so caching them would only burn memory.
   std::vector<std::uint64_t> seeds(static_cast<std::size_t>(trials));

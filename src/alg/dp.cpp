@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "alg/frontier_bits.h"
-#include "core/channel_index.h"
 #include "core/routing.h"
 #include "obs/instrument.h"
 
@@ -29,7 +28,6 @@ RouteResult dp_route(const SegmentedChannel& ch, const ConnectionSet& cs,
 
   const TrackId T = ch.num_tracks();
   const std::size_t Ts = static_cast<std::size_t>(T);
-  const ChannelIndex* idx = opts.index;
 
   // All per-call vectors come from a workspace: the caller's, or —
   // when none is supplied — a per-thread fallback, so even the
@@ -61,8 +59,8 @@ RouteResult dp_route(const SegmentedChannel& ch, const ConnectionSet& cs,
   auto& class_members = ws.class_members;
   int num_classes;
   if (opts.canonicalize_types) {
-    const std::vector<int>& type_of = idx ? idx->type_of() : ch.type_of();
-    num_classes = idx ? idx->num_types() : ch.num_types();
+    const std::vector<int>& type_of = ch.type_of();
+    num_classes = ch.num_types();
     class_begin.assign(static_cast<std::size_t>(num_classes) + 1, 0);
     for (TrackId t = 0; t < T; ++t) {
       ++class_begin[static_cast<std::size_t>(
@@ -103,24 +101,21 @@ RouteResult dp_route(const SegmentedChannel& ch, const ConnectionSet& cs,
   const bool optimizing = opts.weight.has_value();
   res.stats.nodes_per_level.reserve(static_cast<std::size_t>(M) + 1);
 
-  // Without a ChannelIndex, resolve "first free column after routing
-  // through c" from a per-class table built in one pass over each
-  // representative track's segments — O(C * width) once per call instead
-  // of a segment_at binary search per (level, class) and per replay step.
-  // Identical values, since all tracks of a class share one segmentation.
+  // Resolve "first free column after routing through c" from a per-class
+  // table built in one pass over each representative track's segments —
+  // O(C * width) once per call instead of a segment_at binary search per
+  // (level, class) and per replay step. Identical values, since all
+  // tracks of a class share one segmentation.
   const std::size_t nf_stride = static_cast<std::size_t>(ch.width()) + 1;
-  const Column* nf_tab = nullptr;
-  if (!idx) {
-    ws.cls_next_free.resize(static_cast<std::size_t>(num_classes) * nf_stride);
-    for (int cl = 0; cl < num_classes; ++cl) {
-      Column* row =
-          ws.cls_next_free.data() + static_cast<std::size_t>(cl) * nf_stride;
-      for (const Segment& s : ch.track(class_rep(cl)).segments()) {
-        for (Column c = s.left; c <= s.right; ++c) row[c] = s.right + 1;
-      }
+  ws.cls_next_free.resize(static_cast<std::size_t>(num_classes) * nf_stride);
+  for (int cl = 0; cl < num_classes; ++cl) {
+    Column* row =
+        ws.cls_next_free.data() + static_cast<std::size_t>(cl) * nf_stride;
+    for (const Segment& s : ch.track(class_rep(cl)).segments()) {
+      for (Column c = s.left; c <= s.right; ++c) row[c] = s.right + 1;
     }
-    nf_tab = ws.cls_next_free.data();
   }
+  const Column* const nf_tab = ws.cls_next_free.data();
 
   // Node storage is structure-of-arrays: frontiers live bit-packed in one
   // flat word arena (node i's frontier is arena[i*W .. (i+1)*W) for
@@ -426,8 +421,7 @@ RouteResult dp_route(const SegmentedChannel& ch, const ConnectionSet& cs,
       const TrackId rep = class_rep(cl);
       if (opts.max_segments > 0) {
         const int spanned =
-            idx ? idx->segments_spanned(rep, conn.left, conn.right)
-                : ch.track(rep).segments_spanned(conn.left, conn.right);
+            ch.track(rep).segments_spanned(conn.left, conn.right);
         if (spanned > opts.max_segments) {
           cls_ok[static_cast<std::size_t>(cl)] = 0;
           continue;
@@ -442,10 +436,8 @@ RouteResult dp_route(const SegmentedChannel& ch, const ConnectionSet& cs,
         cls_w[static_cast<std::size_t>(cl)] = w;
       }
       cls_ok[static_cast<std::size_t>(cl)] = 1;
-      const Column free =
-          idx ? idx->next_free_after(rep, conn.right)
-              : nf_tab[static_cast<std::size_t>(cl) * nf_stride +
-                       static_cast<std::size_t>(conn.right)];
+      const Column free = nf_tab[static_cast<std::size_t>(cl) * nf_stride +
+                                 static_cast<std::size_t>(conn.right)];
       cls_free[static_cast<std::size_t>(cl)] = std::max(free, Lnext);
     }
     nl_begin = lv_end;
@@ -774,9 +766,8 @@ RouteResult dp_route(const SegmentedChannel& ch, const ConnectionSet& cs,
       return res;
     }
     next_free[static_cast<std::size_t>(chosen)] =
-        idx ? idx->next_free_after(chosen, conn.right)
-            : nf_tab[static_cast<std::size_t>(cl) * nf_stride +
-                     static_cast<std::size_t>(conn.right)];
+        nf_tab[static_cast<std::size_t>(cl) * nf_stride +
+               static_cast<std::size_t>(conn.right)];
     res.routing.assign(ci, chosen);
   }
 

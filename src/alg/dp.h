@@ -36,10 +36,6 @@
 #include "core/weights.h"
 #include "harness/budget.h"
 
-namespace segroute {
-class ChannelIndex;  // core/channel_index.h
-}
-
 namespace segroute::alg {
 
 /// Reusable scratch for dp_route: every per-call vector (frontier arena,
@@ -67,10 +63,10 @@ struct DpWorkspace {
   std::vector<char> cls_ok;
   std::vector<Column> cls_free;
   std::vector<double> cls_w;
-  /// Per-class next-free-column table, built once per call when no
-  /// ChannelIndex is supplied: row cl, column c holds the first free
-  /// column after routing through c on a class-cl track. Replaces the
-  /// per-level (and replay) segment_at binary searches.
+  /// Per-class next-free-column table, built once per call: row cl,
+  /// column c holds the first free column after routing through c on a
+  /// class-cl track. Replaces the per-level (and replay) segment_at
+  /// binary searches.
   std::vector<Column> cls_next_free;
   /// Pooled per-call field scratch: the node-in-hand unpacked frontier
   /// (`cur`), its left-clamped copy, and the per-class packed-position
@@ -127,12 +123,6 @@ struct DpOptions {
   /// frontier expansion). On exhaustion the router returns a structured
   /// FailureKind::kBudgetExhausted failure instead of running unbounded.
   harness::Budget budget;
-
-  /// Prebuilt index over the channel being routed (must match `ch`).
-  /// Replaces the per-call class derivation and every per-Track
-  /// segment_at binary search with O(1) table lookups. Results are
-  /// bit-identical with and without it.
-  const ChannelIndex* index = nullptr;
 
   /// Reusable scratch (see DpWorkspace). When null a call-local
   /// workspace is used — the historical allocate-per-call behavior.

@@ -243,24 +243,13 @@ GeneralizedRouteResult generalized_dp_route(const SegmentedChannel& ch,
     const bool switch_col_ok =
         !opts.allowed_switch_columns || switch_cols.contains(u.col);
 
-    if (const ChannelIndex* idx = opts.index) {
-      for (TrackId t = 0; t < T; ++t) {
-        seg_end[static_cast<std::size_t>(t)] =
-            idx->seg_right(t, idx->segment_at(t, u.col));
-        if (track_prev && opts.switch_requires_overlap && u.col > 1) {
-          prev_seg_end[static_cast<std::size_t>(t)] =
-              idx->seg_right(t, idx->segment_at(t, u.col - 1));
-        }
-      }
-    } else {
-      for (TrackId t = 0; t < T; ++t) {
-        const Track& tr = ch.track(t);
-        seg_end[static_cast<std::size_t>(t)] =
-            tr.segment(tr.segment_at(u.col)).right;
-        if (track_prev && opts.switch_requires_overlap && u.col > 1) {
-          prev_seg_end[static_cast<std::size_t>(t)] =
-              tr.segment(tr.segment_at(u.col - 1)).right;
-        }
+    for (TrackId t = 0; t < T; ++t) {
+      const Track& tr = ch.track(t);
+      seg_end[static_cast<std::size_t>(t)] =
+          tr.segment(tr.segment_at(u.col)).right;
+      if (track_prev && opts.switch_requires_overlap && u.col > 1) {
+        prev_seg_end[static_cast<std::size_t>(t)] =
+            tr.segment(tr.segment_at(u.col - 1)).right;
       }
     }
 

@@ -11,7 +11,6 @@
 
 #include "alg/result.h"
 #include "core/channel.h"
-#include "core/channel_index.h"
 #include "core/connection.h"
 #include "core/generalized.h"
 #include "harness/budget.h"
@@ -36,11 +35,6 @@ struct GeneralizedDpOptions {
   /// Resource bounds checked in the hot loop (one tick per attempted
   /// state expansion); exhaustion yields FailureKind::kBudgetExhausted.
   harness::Budget budget;
-
-  /// Prebuilt index over the channel being routed (must match it):
-  /// replaces the per-level per-track segment_at binary searches with
-  /// O(1) lookups. Results are bit-identical with and without it.
-  const ChannelIndex* index = nullptr;
 };
 
 /// Result of a generalized routing attempt.

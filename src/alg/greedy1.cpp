@@ -24,7 +24,6 @@ RouteResult greedy1_route_traced(const SegmentedChannel& ch,
   // Candidate tracks rejected (multi-segment span or occupied), flushed
   // once at exit.
   std::uint64_t rejected = 0;
-  const ChannelIndex* idx = ctx.index;
   std::optional<Occupancy> local_occ;
   Occupancy& occ = ctx.occupancy ? *ctx.occupancy : local_occ.emplace(ch);
   if (ctx.occupancy) occ.reset();
@@ -34,15 +33,8 @@ RouteResult greedy1_route_traced(const SegmentedChannel& ch,
     SegId best_seg = -1;
     Column best_right = 0;
     for (TrackId t = 0; t < ch.num_tracks(); ++t) {
-      SegId a, b;
-      if (idx) {
-        a = idx->segment_at(t, c.left);
-        b = idx->segment_at(t, c.right);
-      } else {
-        const auto [sa, sb] = ch.track(t).span(c.left, c.right);
-        a = sa;
-        b = sb;
-      }
+      const Track& tr = ch.track(t);
+      const auto [a, b] = tr.span(c.left, c.right);
       if (a != b) {  // needs more than one segment
         ++rejected;
         continue;
@@ -51,7 +43,7 @@ RouteResult greedy1_route_traced(const SegmentedChannel& ch,
         ++rejected;
         continue;
       }
-      const Column r = idx ? idx->seg_right(t, a) : ch.track(t).segment(a).right;
+      const Column r = tr.segment(a).right;
       const bool better =
           best == kNoTrack || r < best_right ||
           (r == best_right && tie == TieBreak::HighestTrack);

@@ -4,8 +4,8 @@
 
 #include "alg/result.h"
 #include "core/channel.h"
-#include "core/channel_index.h"
 #include "core/connection.h"
+#include "core/routing.h"
 
 namespace segroute::alg {
 
@@ -19,9 +19,8 @@ enum class TieBreak { LowestTrack, HighestTrack };
 /// has the smallest right end. Complete iff any 1-segment routing exists
 /// (Theorem 3).
 ///
-/// `ctx` optionally supplies a prebuilt ChannelIndex (O(1) segment
-/// lookups) and a reusable Occupancy (reset here; no per-call
-/// allocation). Results are bit-identical with and without it.
+/// `ctx` optionally supplies a reusable Occupancy (reset here; no
+/// per-call allocation). Results are bit-identical with and without it.
 RouteResult greedy1_route(const SegmentedChannel& ch, const ConnectionSet& cs,
                           TieBreak tie = TieBreak::LowestTrack,
                           const RouteContext& ctx = {});

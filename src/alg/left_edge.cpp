@@ -23,19 +23,14 @@ RouteResult left_edge_route(const SegmentedChannel& ch, const ConnectionSet& cs,
     SEGROUTE_SPAN_TAG(le_span, "outcome", to_string(res.failure));
     return res;
   }
-  const ChannelIndex* idx = ctx.index;
   std::optional<Occupancy> local_occ;
   Occupancy& occ = ctx.occupancy ? *ctx.occupancy : local_occ.emplace(ch);
   if (ctx.occupancy) occ.reset();
   std::uint64_t probes = 0;  // occupied-track placement attempts, flushed once
   for (ConnId i : cs.sorted_by_left()) {
     const Connection& c = cs[i];
-    const int spanned0 =
-        max_segments > 0
-            ? (idx ? idx->segments_spanned(0, c.left, c.right)
-                   : ch.track(0).segments_spanned(c.left, c.right))
-            : 0;
-    if (max_segments > 0 && spanned0 > max_segments) {
+    if (max_segments > 0 &&
+        ch.track(0).segments_spanned(c.left, c.right) > max_segments) {
       res.fail(FailureKind::kInfeasible,
                "connection " + std::to_string(i) + " needs more than " +
                    std::to_string(max_segments) + " segments in every track");

@@ -4,8 +4,8 @@
 
 #include "alg/result.h"
 #include "core/channel.h"
-#include "core/channel_index.h"
 #include "core/connection.h"
+#include "core/routing.h"
 
 namespace segroute::alg {
 
@@ -20,8 +20,8 @@ namespace segroute::alg {
 /// channel, but its exactness guarantee requires identical tracks, so a
 /// mixed channel is rejected with FailureKind::kInvalidInput.
 ///
-/// `ctx` optionally supplies a prebuilt ChannelIndex and a reusable
-/// Occupancy (reset here); results are bit-identical with and without it.
+/// `ctx` optionally supplies a reusable Occupancy (reset here); results
+/// are bit-identical with and without it.
 RouteResult left_edge_route(const SegmentedChannel& ch, const ConnectionSet& cs,
                             int max_segments = 0,
                             const RouteContext& ctx = {});

@@ -1,7 +1,6 @@
 #include "alg/match1.h"
 
 #include <cmath>
-#include <optional>
 
 #include "match/hopcroft_karp.h"
 #include "match/hungarian.h"
@@ -11,9 +10,7 @@ namespace segroute::alg {
 
 namespace {
 
-/// Flattened (track, segment) index space for the right-hand side —
-/// the per-call fallback when no ChannelIndex is supplied (which holds
-/// the same tables prebuilt).
+/// Flattened (track, segment) index space for the right-hand side.
 struct SegIndex {
   std::vector<int> base;  // per track, offset of its first segment
   int total = 0;
@@ -35,35 +32,9 @@ struct SegIndex {
   }
 };
 
-/// Uniform view over ChannelIndex / fallback SegIndex.
-struct FlatSegs {
-  const ChannelIndex* idx;
-  std::optional<SegIndex> local;
-
-  FlatSegs(const SegmentedChannel& ch, const ChannelIndex* index)
-      : idx(index) {
-    if (!idx) local.emplace(ch);
-  }
-  [[nodiscard]] int total() const {
-    return idx ? idx->total_segments() : local->total;
-  }
-  [[nodiscard]] int flat(TrackId t, SegId s) const {
-    return idx ? idx->seg_base(t) + s : local->flat(t, s);
-  }
-  [[nodiscard]] TrackId track_of_flat(int f) const {
-    return idx ? idx->track_of_flat(f) : local->track_of_flat(f);
-  }
-  [[nodiscard]] std::pair<SegId, SegId> span(const SegmentedChannel& ch,
-                                             TrackId t, Column lo,
-                                             Column hi) const {
-    return idx ? idx->span(t, lo, hi) : ch.track(t).span(lo, hi);
-  }
-};
-
 }  // namespace
 
-RouteResult match1_route(const SegmentedChannel& ch, const ConnectionSet& cs,
-                         const RouteContext& ctx) {
+RouteResult match1_route(const SegmentedChannel& ch, const ConnectionSet& cs) {
   RouteResult res;
   res.routing = Routing(cs.size());
   SEGROUTE_SPAN(m1_span, "alg.match1_route");
@@ -72,15 +43,15 @@ RouteResult match1_route(const SegmentedChannel& ch, const ConnectionSet& cs,
     SEGROUTE_SPAN_TAG(m1_span, "outcome", to_string(res.failure));
     return res;
   }
-  FlatSegs idx(ch, ctx.index);
-  match::BipartiteGraph g(cs.size(), idx.total());
+  const SegIndex idx(ch);
+  match::BipartiteGraph g(cs.size(), idx.total);
   std::uint64_t edges = 0;
   {
     SEGROUTE_SPAN(build_span, "match1.build_graph");
     for (ConnId i = 0; i < cs.size(); ++i) {
       const Connection& c = cs[i];
       for (TrackId t = 0; t < ch.num_tracks(); ++t) {
-        auto [a, b] = idx.span(ch, t, c.left, c.right);
+        auto [a, b] = ch.track(t).span(c.left, c.right);
         if (a == b) {
           g.add_edge(i, idx.flat(t, a));
           ++edges;
@@ -108,8 +79,7 @@ RouteResult match1_route(const SegmentedChannel& ch, const ConnectionSet& cs,
 }
 
 RouteResult match1_route_optimal(const SegmentedChannel& ch,
-                                 const ConnectionSet& cs, const WeightFn& w,
-                                 const RouteContext& ctx) {
+                                 const ConnectionSet& cs, const WeightFn& w) {
   RouteResult res;
   res.routing = Routing(cs.size());
   if (cs.size() == 0) {
@@ -120,8 +90,8 @@ RouteResult match1_route_optimal(const SegmentedChannel& ch,
     res.note = "connections exceed channel width";
     return res;
   }
-  FlatSegs idx(ch, ctx.index);
-  const int total = idx.total();
+  const SegIndex idx(ch);
+  const int total = idx.total;
   if (cs.size() > total) {
     res.fail(FailureKind::kInfeasible, "more connections than segments");
     return res;
@@ -132,7 +102,7 @@ RouteResult match1_route_optimal(const SegmentedChannel& ch,
   for (ConnId i = 0; i < cs.size(); ++i) {
     const Connection& c = cs[i];
     for (TrackId t = 0; t < ch.num_tracks(); ++t) {
-      auto [a, b] = idx.span(ch, t, c.left, c.right);
+      auto [a, b] = ch.track(t).span(c.left, c.right);
       if (a != b) continue;
       const double wc = w(ch, c, t);
       if (std::isinf(wc)) continue;

@@ -6,7 +6,6 @@
 
 #include "alg/result.h"
 #include "core/channel.h"
-#include "core/channel_index.h"
 #include "core/connection.h"
 #include "core/weights.h"
 
@@ -15,19 +14,13 @@ namespace segroute::alg {
 /// Feasibility-only 1-segment routing via maximum-cardinality matching
 /// (Hopcroft–Karp). Succeeds iff a 1-segment routing exists — an
 /// independent oracle for Theorem 3's greedy.
-///
-/// `ctx.index`, when set, supplies the flat segment tables and O(1)
-/// segment lookups (otherwise both are derived per call); results are
-/// bit-identical either way.
-RouteResult match1_route(const SegmentedChannel& ch, const ConnectionSet& cs,
-                         const RouteContext& ctx = {});
+RouteResult match1_route(const SegmentedChannel& ch, const ConnectionSet& cs);
 
 /// Optimal 1-segment routing (Problem 3 restricted to K=1) minimizing the
 /// total weight sum_i w(c_i, t(c_i)) via the Hungarian algorithm. Fails if
 /// no complete 1-segment routing exists. On success `weight` holds the
 /// optimal total.
 RouteResult match1_route_optimal(const SegmentedChannel& ch,
-                                 const ConnectionSet& cs, const WeightFn& w,
-                                 const RouteContext& ctx = {});
+                                 const ConnectionSet& cs, const WeightFn& w);
 
 }  // namespace segroute::alg

@@ -236,7 +236,6 @@ bool OnlineRouter::full_dp(const harness::Budget& budget, RepairOutcome& out) {
   RouteRequest rq;
   rq.channel = &channel_;
   rq.connections = &cs;
-  rq.context.index = &index_;
   rq.options.max_segments = max_segments_;
   rq.budget = budget;
   const RouteResult res = route("dp", rq);

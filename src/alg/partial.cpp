@@ -49,9 +49,7 @@ RouteResult partial_route(const SegmentedChannel& ch, const ConnectionSet& cs,
     TrackId best = kNoTrack;
     int best_spans = 0;
     for (TrackId t = 0; t < T; ++t) {
-      const int spans = ctx.index
-                            ? ctx.index->segments_spanned(t, c.left, c.right)
-                            : ch.track(t).segments_spanned(c.left, c.right);
+      const int spans = ch.track(t).segments_spanned(c.left, c.right);
       if (opts.max_segments > 0 && spans > opts.max_segments) continue;
       if (best != kNoTrack && spans >= best_spans) continue;
       if (!occ->fits(t, c.left, c.right)) continue;

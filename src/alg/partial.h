@@ -30,8 +30,8 @@
 
 #include "alg/result.h"
 #include "core/channel.h"
-#include "core/channel_index.h"
 #include "core/connection.h"
+#include "core/routing.h"
 #include "harness/budget.h"
 
 namespace segroute::alg {

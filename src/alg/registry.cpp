@@ -30,7 +30,6 @@ RouteResult route_dp(const RouteRequest& rq) {
   o.max_total_nodes = static_cast<std::uint64_t>(
       rq.options.param_int("max_total_nodes", 20'000'000));
   o.budget = rq.budget;
-  o.index = rq.context.index;
   o.workspace = rq.dp_workspace;
   return dp_route(*rq.channel, *rq.connections, o);
 }
@@ -55,9 +54,9 @@ RouteResult route_greedy1(const RouteRequest& rq) {
 RouteResult route_match1(const RouteRequest& rq) {
   if (rq.options.weight) {
     return match1_route_optimal(*rq.channel, *rq.connections,
-                                *rq.options.weight, rq.context);
+                                *rq.options.weight);
   }
-  return match1_route(*rq.channel, *rq.connections, rq.context);
+  return match1_route(*rq.channel, *rq.connections);
 }
 
 RouteResult route_greedy2track(const RouteRequest& rq) {
@@ -104,7 +103,6 @@ RouteResult route_branch_bound(const RouteRequest& rq) {
   o.max_nodes = static_cast<std::uint64_t>(
       rq.options.param_int("max_nodes", 50'000'000));
   o.budget = rq.budget;
-  o.index = rq.context.index;
   return branch_bound_route(*rq.channel, *rq.connections, *rq.options.weight,
                             o);
 }

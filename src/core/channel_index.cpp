@@ -21,35 +21,26 @@ inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
 ChannelIndex::ChannelIndex(const SegmentedChannel& ch)
     : ch_(&ch),
       num_tracks_(ch.num_tracks()),
-      width_(ch.width()),
       cols_(static_cast<std::size_t>(ch.width()) + 1),
       num_types_(ch.num_types()),
       type_of_(ch.type_of()) {
   const std::size_t Ts = static_cast<std::size_t>(num_tracks_);
 
   std::uint64_t h = kFnvOffset;
-  fnv_mix(h, static_cast<std::uint64_t>(width_));
+  fnv_mix(h, static_cast<std::uint64_t>(ch.width()));
   fnv_mix(h, static_cast<std::uint64_t>(num_tracks_));
 
-  seg_base_.reserve(Ts + 1);
-  seg_base_.push_back(0);
-  for (TrackId t = 0; t < num_tracks_; ++t) {
-    total_segments_ += ch.track(t).num_segments();
-    seg_base_.push_back(total_segments_);
-  }
-  seg_left_.reserve(static_cast<std::size_t>(total_segments_));
-  seg_right_.reserve(static_cast<std::size_t>(total_segments_));
-  seg_track_.reserve(static_cast<std::size_t>(total_segments_));
+  seg_base_.reserve(Ts);
   seg_of_col_.assign(Ts * cols_, 0);
   for (TrackId t = 0; t < num_tracks_; ++t) {
     const Track& tr = ch.track(t);
+    seg_base_.push_back(static_cast<int>(seg_left_.size()));
     fnv_mix(h, static_cast<std::uint64_t>(tr.num_segments()));
     SegId* row = seg_of_col_.data() + static_cast<std::size_t>(t) * cols_;
     for (SegId s = 0; s < tr.num_segments(); ++s) {
       const Segment& seg = tr.segment(s);
       seg_left_.push_back(seg.left);
       seg_right_.push_back(seg.right);
-      seg_track_.push_back(t);
       fnv_mix(h, static_cast<std::uint64_t>(
                      static_cast<std::uint32_t>(seg.right)));
       for (Column c = seg.left; c <= seg.right; ++c) {
@@ -63,14 +54,6 @@ ChannelIndex::ChannelIndex(const SegmentedChannel& ch)
   for (TrackId t = 0; t < num_tracks_; ++t) {
     type_members_[static_cast<std::size_t>(type_of_[static_cast<std::size_t>(t)])]
         .push_back(t);
-  }
-
-  covering_.assign(cols_ * Ts, 0);
-  for (Column c = 1; c <= width_; ++c) {
-    int* row = covering_.data() + static_cast<std::size_t>(c) * Ts;
-    for (TrackId t = 0; t < num_tracks_; ++t) {
-      row[static_cast<std::size_t>(t)] = seg_base(t) + segment_at(t, c);
-    }
   }
 }
 

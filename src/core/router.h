@@ -9,10 +9,11 @@
 // batch engine, capacity search, benches, tests) hand-wired each router
 // separately. A RouteRequest carries everything any of them needs:
 //
-//   - the channel and connection set to route (borrowed, required);
-//   - optional shared structure and scratch: a prebuilt ChannelIndex,
-//     a reusable Occupancy (both via RouteContext) and a DP workspace,
-//     so engine-style callers stay allocation-free in steady state;
+//   - the channel and connection set to route (borrowed, required); every
+//     router reads its segments straight from SegmentedChannel/Track;
+//   - optional scratch: a reusable Occupancy (via RouteContext) and a DP
+//     workspace, so engine-style callers stay allocation-free in steady
+//     state;
 //   - RouterOptions: the common knobs (K-segment limit, optimization
 //     weight) plus a string-keyed parameter map for router-specific
 //     extras (tie-break policy, annealing schedule, node caps);
@@ -32,8 +33,8 @@
 #include <variant>
 
 #include "core/channel.h"
-#include "core/channel_index.h"
 #include "core/connection.h"
+#include "core/routing.h"
 #include "core/weights.h"
 #include "harness/budget.h"
 
@@ -161,9 +162,8 @@ struct RouteRequest {
   /// The connections to route. Required.
   const ConnectionSet* connections = nullptr;
 
-  /// Optional shared structure and occupancy scratch. When
-  /// context.index is set it MUST have been built for `*channel`;
-  /// results are bit-identical with and without it.
+  /// Optional occupancy scratch for the occupancy-based routers; results
+  /// are bit-identical with and without it.
   RouteContext context;
 
   /// Optional reusable scratch for the DP-family routers (ignored by the

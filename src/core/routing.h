@@ -109,4 +109,12 @@ class Occupancy {
   std::vector<std::vector<ConnId>> occ_;  // per track, per segment
 };
 
+/// Shared routing scratch threaded through the occupancy-based routers: a
+/// reusable Occupancy, borrowed, which must have been constructed (or
+/// rebound) for the channel being routed. Default (null) builds a
+/// call-local Occupancy; results are identical either way.
+struct RouteContext {
+  Occupancy* occupancy = nullptr;
+};
+
 }  // namespace segroute

@@ -133,7 +133,6 @@ alg::RouteResult BatchRouter::route_one(const ConnectionSet& cs,
   RouteRequest rq;
   rq.channel = ch_;
   rq.connections = &cs;
-  rq.context.index = &index_;
   rq.context.occupancy = &scratch.occupancy_for(index_);
   rq.dp_workspace = &scratch.dp();
   rq.options.max_segments = opts.max_segments;

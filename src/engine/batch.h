@@ -2,17 +2,16 @@
 // routing on one channel.
 //
 // FPGA-style workloads route the *same* segmented channel over and over
-// — capacity probes re-route under growing prefixes, the portfolio
-// router races several strategies on one instance, Monte-Carlo
+// — capacity probes re-route under growing prefixes, the fabric router
+// re-routes every channel each negotiation round, Monte-Carlo
 // routability draws thousands of random connection sets. The direct
-// path pays full price each time: class derivation, segment binary
-// searches, workspace allocation, and — when instances repeat — the
-// whole DP again for an answer already computed.
+// path pays full price each time: workspace allocation and — when
+// instances repeat — the whole DP again for an answer already computed.
 //
-// The engine stacks three layers on the shared ChannelIndex:
+// The engine stacks three layers on one ChannelIndex, built once per
+// BatchRouter for its fingerprint:
 //
-//   1. the index itself, built once per BatchRouter and threaded into
-//      every router call (O(1) segment lookups, prebuilt type classes);
+//   1. the fingerprint, which keys the scratch and the memo cache;
 //   2. per-thread scratch arenas (engine/scratch.h), so steady-state
 //      calls are allocation-free;
 //   3. a bounded, *sharded* LRU memo cache keyed by (channel
@@ -55,7 +54,7 @@
 //
 // Degradation support (the survivability layer, harness/chaos.h):
 // rebind() re-points the engine at a structurally different channel —
-// typically a FaultPlan-degraded one — rebuilding the shared index while
+// typically a FaultPlan-degraded one — rebuilding the index while
 // *keeping* the memo cache. Entries are keyed by the substrate
 // fingerprint (it participates in key equality, not just the hash), so
 // entries from other substrates can never be served wrongly, and
@@ -212,14 +211,14 @@ struct RebindDelta {
 
 class BatchRouter {
  public:
-  /// Builds the shared index once. The channel must outlive the router.
+  /// Builds the channel's index once. The channel must outlive the router.
   explicit BatchRouter(const SegmentedChannel& ch, BatchOptions opts = {});
 
   [[nodiscard]] const ChannelIndex& index() const { return index_; }
   [[nodiscard]] const BatchOptions& options() const { return opts_; }
 
-  /// Routes one instance through the engine (index + thread scratch +
-  /// memo cache), dispatching to the registered router named in the
+  /// Routes one instance through the engine (thread scratch + memo
+  /// cache), dispatching to the registered router named in the
   /// options. Bit-identical to calling that router's free function
   /// directly with the same options (the default "dp" matches dp_route).
   alg::RouteResult route(const ConnectionSet& cs,
@@ -241,7 +240,7 @@ class BatchRouter {
       const std::vector<EngineRouteOptions>& opts);
 
   /// Re-points the engine at `ch` (which must outlive it), rebuilding the
-  /// shared index. The memo cache is kept: entries are fingerprint-keyed,
+  /// index. The memo cache is kept: entries are fingerprint-keyed,
   /// so stale service is impossible and returning to a previously seen
   /// substrate re-hits its entries. Not thread-safe against concurrent
   /// route()/route_many() calls — quiesce the engine first.

@@ -5,11 +5,8 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <thread>
 #include <utility>
-
-#include "util/pool.h"
 
 #include "alg/partial.h"
 #include "alg/registry.h"
@@ -59,17 +56,15 @@ std::chrono::milliseconds scale_ms(std::chrono::milliseconds d,
 
 RouteResult run_stage(const RouterEntry& e, const SegmentedChannel& ch,
                       const ConnectionSet& cs, const RobustOptions& o,
-                      const Budget& b, const ChannelIndex& idx) {
-  // Every stage goes through the registry dispatcher with the shared
-  // per-call index (built once on the routed substrate) plus the calling
-  // thread's scratch arenas: stages race on separate pool threads, and
-  // thread_scratch() is thread-local, so no workspace is ever shared.
+                      const Budget& b, std::uint64_t fingerprint) {
+  // Every stage goes through the registry dispatcher with the calling
+  // thread's scratch arenas, keyed by the routed substrate's fingerprint.
+  engine::Scratch& scratch = engine::thread_scratch();
   RouteRequest rq;
   rq.channel = &ch;
   rq.connections = &cs;
-  rq.context.index = &idx;
-  rq.context.occupancy = &engine::thread_scratch().occupancy_for(idx);
-  rq.dp_workspace = &engine::thread_scratch().dp();
+  rq.context.occupancy = &scratch.occupancy_for(ch, fingerprint);
+  rq.dp_workspace = &scratch.dp();
   rq.options.max_segments = o.max_segments;
   // Stages without weight support route for feasibility and are scored
   // externally (total_weight below) — a weighted request would be
@@ -146,11 +141,12 @@ RouteReport robust_route(const SegmentedChannel& ch, const ConnectionSet& cs,
 
   const std::vector<StageSpec> cascade =
       opts.stages.empty() ? default_cascade() : opts.stages;
-  // One shared index per call, built on the substrate actually routed —
-  // after fault application, so a degraded channel gets its own
-  // fingerprint and its own structure tables.
+  // One index per call, built on the substrate actually routed — after
+  // fault application, so a degraded channel gets its own fingerprint.
+  // It keys the checkpoints and the scratch arenas and serves the repair
+  // pre-stage's span lookups.
   const ChannelIndex index(*substrate);
-  const RouteVerifier verifier(*substrate, cs, &index);
+  const RouteVerifier verifier(*substrate, cs);
 
   // Substrate-coordinate routing -> original-track coordinates.
   const auto map_back = [&](const Routing& r) {
@@ -296,7 +292,7 @@ RouteReport robust_route(const SegmentedChannel& ch, const ConnectionSet& cs,
   }
 
   // Best verified candidate so far (optimizing mode accumulates; in
-  // feasibility mode the first one ends the serial cascade or the race).
+  // feasibility mode the first one ends the cascade).
   // Names point into the registry (static strings, usable as span tags).
   bool have_candidate = false;
   Routing best_routing;
@@ -314,150 +310,8 @@ RouteReport robust_route(const SegmentedChannel& ch, const ConnectionSet& cs,
     const auto pass_t0 = Clock::now();
     bool pass_budget_exhausted = false;
     std::optional<Clock::time_point> overall_deadline;
-    std::optional<std::chrono::milliseconds> pass_deadline;
     if (opts.deadline) {
-      pass_deadline = scale_ms(*opts.deadline, factor);
-      overall_deadline = pass_t0 + *pass_deadline;
-    }
-
-    if (opts.race && cascade.size() > 1) {
-      // Racing mode: every stage runs concurrently with the full deadline;
-      // the race flag doubles as the losers' cooperative-cancel signal.
-      // Seeded from the external flag so a request that arrived before the
-      // race even starts is honored without waiting on the watcher's poll.
-      std::atomic<bool> race_stop{
-          opts.cancel && opts.cancel->load(std::memory_order_relaxed)};
-      std::atomic<bool> all_done{false};
-      std::mutex mu;  // guards the best-candidate state above
-      std::vector<StageReport> srs(cascade.size());
-
-      // Chain an external cancellation request into the race flag.
-      std::thread watcher;
-      if (opts.cancel) {
-        watcher = std::thread([&] {
-          while (!all_done.load(std::memory_order_relaxed)) {
-            if (opts.cancel->load(std::memory_order_relaxed)) {
-              race_stop.store(true, std::memory_order_relaxed);
-              return;
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          }
-        });
-      }
-
-      const auto race_one = [&](std::size_t k) {
-        const StageSpec& spec = cascade[k];
-        const RouterEntry* entry = alg::find_router(spec.router);
-        // Named by the router (static registry string) so the race lanes
-        // read directly in a trace viewer; re-tagged with the outcome
-        // below.
-        const char* rname = entry ? entry->name : "unknown-router";
-        SEGROUTE_SPAN(stage_span, rname, "router", rname);
-        bool won = false;
-        StageReport sr;
-        sr.router = spec.router;
-        sr.attempted = true;
-        sr.round = round;
-        Budget b = scale_budget(spec.budget, factor);
-        b.cancel = &race_stop;
-        if (pass_deadline) {
-          b.deadline = b.deadline ? std::min(*b.deadline, *pass_deadline)
-                                  : *pass_deadline;
-        }
-        const auto stage_t0 = Clock::now();
-        RouteResult r;
-        if (entry) {
-          r = run_stage(*entry, *substrate, cs, opts, b, index);
-        } else {
-          r.fail(FailureKind::kInvalidInput,
-                 "unknown router \"" + spec.router + "\"");
-        }
-        sr.elapsed_ms = ms_since(stage_t0);
-        sr.success = r.success;
-        sr.failure = r.failure;
-        sr.note = r.note;
-
-        if (r.success) {
-          VerifyOptions vo;
-          vo.max_segments = opts.max_segments;
-          if (stage_reports_weight(*entry, opts)) {
-            vo.weight = opts.weight;  // expectation = r.weight (checked)
-          }
-          const VerifyResult v = verifier.check(r, vo);
-          if (!v) {
-            sr.success = false;
-            sr.failure = FailureKind::kVerificationFailed;
-            sr.note = std::string(to_string(v.error)) + ": " + v.detail;
-          } else {
-            sr.verified = true;
-            double w = r.weight;
-            if (opts.weight && !stage_reports_weight(*entry, opts)) {
-              w = total_weight(*substrate, cs, r.routing, *opts.weight);
-            }
-            sr.weight = w;
-            std::lock_guard<std::mutex> lock(mu);
-            if (!opts.weight) {
-              // Feasibility race: first verified success wins.
-              if (!have_candidate) {
-                best_routing = r.routing;
-                best_name = entry->name;
-                have_candidate = true;
-                won = true;
-                race_stop.store(true, std::memory_order_relaxed);
-              }
-            } else {
-              if (!have_candidate || w < best_weight) {
-                best_routing = r.routing;
-                best_weight = w;
-                best_name = entry->name;
-                have_candidate = true;
-                won = true;
-              }
-              if (exact_optimal(*entry, opts, r)) {
-                race_stop.store(true, std::memory_order_relaxed);
-              }
-            }
-          }
-        } else if (entry && proves_infeasible(*entry, opts, r)) {
-          std::lock_guard<std::mutex> lock(mu);
-          if (!proven_infeasible) {
-            proven_infeasible = true;
-            proven_name = entry->name;
-            proven_note = sr.note;
-            won = true;  // the race ends on this stage's proof
-          }
-          race_stop.store(true, std::memory_order_relaxed);
-        }
-        SEGROUTE_SPAN_TAG(stage_span, "outcome",
-                          sr.success ? "success" : to_string(sr.failure));
-        // Winner/loser annotation while the stage span is still open, so
-        // the instant nests under it in the trace. In optimizing mode
-        // "winner" means "took (or kept) the lead when it finished".
-        SEGROUTE_INSTANT(won ? "robust.race.winner" : "robust.race.loser",
-                         "router", rname);
-        srs[k] = std::move(sr);  // distinct slot per stage, no lock needed
-      };
-
-      if (pass_deadline) {
-        SEGROUTE_GAUGE_SET(
-            "robust.budget_remaining_ms",
-            (std::chrono::duration<double, std::milli>(*pass_deadline)
-                 .count()));
-      }
-      util::ThreadPool pool(static_cast<int>(cascade.size()));
-      pool.parallel_for(static_cast<std::int64_t>(cascade.size()),
-                        [&](std::int64_t k) {
-                          race_one(static_cast<std::size_t>(k));
-                        });
-      all_done.store(true, std::memory_order_relaxed);
-      if (watcher.joinable()) watcher.join();
-      for (auto& sr : srs) {
-        if (sr.failure == FailureKind::kBudgetExhausted) {
-          pass_budget_exhausted = true;
-        }
-        report.stages.push_back(std::move(sr));
-      }
-      return pass_budget_exhausted;
+      overall_deadline = pass_t0 + scale_ms(*opts.deadline, factor);
     }
 
     for (std::size_t k = 0; k < cascade.size(); ++k) {
@@ -500,7 +354,7 @@ RouteReport robust_route(const SegmentedChannel& ch, const ConnectionSet& cs,
       const auto stage_t0 = Clock::now();
       RouteResult r;
       if (entry) {
-        r = run_stage(*entry, *substrate, cs, opts, b, index);
+        r = run_stage(*entry, *substrate, cs, opts, b, index.fingerprint());
       } else {
         r.fail(FailureKind::kInvalidInput,
                "unknown router \"" + spec.router + "\"");
@@ -607,9 +461,7 @@ RouteReport robust_route(const SegmentedChannel& ch, const ConnectionSet& cs,
     alg::PartialOptions po;
     po.max_segments = opts.max_segments;
     if (opts.cancel) po.budget.cancel = opts.cancel;
-    RouteContext pctx;
-    pctx.index = &index;
-    const RouteResult pr = alg::partial_route(*substrate, cs, po, pctx);
+    const RouteResult pr = alg::partial_route(*substrate, cs, po);
     sr.elapsed_ms = ms_since(partial_t0);
     sr.success = pr.success;
     sr.failure = pr.failure;

@@ -131,17 +131,6 @@ struct RobustOptions {
   /// "anneal"}.
   std::vector<StageSpec> stages;
 
-  /// Opt-in racing mode: run every stage concurrently (one thread per
-  /// stage), each with the *full* remaining deadline instead of a slice.
-  /// In feasibility mode the first verified success wins and the losers
-  /// are stopped through their Budget's cooperative-cancel flag; in
-  /// optimizing mode all stages run (a verified exact-optimal result
-  /// cancels the rest) and the best verified weight wins. Every stage
-  /// appears in the report, in cascade order. Which stage wins a
-  /// feasibility race is timing-dependent by design; the winner is still
-  /// always independently verified.
-  bool race = false;
-
   /// When set, sample and apply hardware faults before routing.
   std::optional<FaultPlan> faults;
 

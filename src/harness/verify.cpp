@@ -31,11 +31,6 @@ RouteVerifier::RouteVerifier(const SegmentedChannel& ch,
                              const ConnectionSet& cs)
     : ch_(&ch), cs_(&cs) {}
 
-RouteVerifier::RouteVerifier(const SegmentedChannel& ch,
-                             const ConnectionSet& cs,
-                             const ChannelIndex* index)
-    : ch_(&ch), cs_(&cs), idx_(index) {}
-
 VerifyResult RouteVerifier::check(const Routing& r,
                                   const VerifyOptions& opts) const {
   auto fail = [](VerifyError e, std::string detail) {
@@ -53,15 +48,12 @@ VerifyResult RouteVerifier::check(const Routing& r,
 
   // Independent occupancy: per track, the connection claiming each
   // segment. Deliberately rebuilt here from segment interval arithmetic
-  // rather than core's Occupancy. A supplied ChannelIndex is consulted
-  // only for the per-track segment counts (structural shape); all
-  // semantic checks below stay first-principles.
+  // rather than core's Occupancy.
   std::vector<std::vector<ConnId>> claimed(
       static_cast<std::size_t>(ch.num_tracks()));
   for (TrackId t = 0; t < ch.num_tracks(); ++t) {
-    const int segs = idx_ ? idx_->num_segments(t) : ch.track(t).num_segments();
-    claimed[static_cast<std::size_t>(t)].assign(static_cast<std::size_t>(segs),
-                                                kNoConn);
+    claimed[static_cast<std::size_t>(t)].assign(
+        static_cast<std::size_t>(ch.track(t).num_segments()), kNoConn);
   }
 
   double recomputed_weight = 0.0;

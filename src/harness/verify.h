@@ -27,7 +27,6 @@
 
 #include "alg/result.h"
 #include "core/channel.h"
-#include "core/channel_index.h"
 #include "core/connection.h"
 #include "core/routing.h"
 #include "core/weights.h"
@@ -79,15 +78,6 @@ class RouteVerifier {
   /// Both referents must outlive the verifier.
   RouteVerifier(const SegmentedChannel& ch, const ConnectionSet& cs);
 
-  /// As above, with a prebuilt index over `ch`. The index is used ONLY
-  /// for structural shape (per-track segment counts when sizing the
-  /// independent occupancy table) — never for the span/coverage
-  /// arithmetic itself, which stays first-principles so a bug in the
-  /// shared index cannot hide a bug in a router. The index must have
-  /// been built for `ch` and must outlive the verifier.
-  RouteVerifier(const SegmentedChannel& ch, const ConnectionSet& cs,
-                const ChannelIndex* index);
-
   /// Checks a routing from first principles.
   [[nodiscard]] VerifyResult check(const Routing& r,
                                    const VerifyOptions& opts = {}) const;
@@ -102,7 +92,6 @@ class RouteVerifier {
  private:
   const SegmentedChannel* ch_;
   const ConnectionSet* cs_;
-  const ChannelIndex* idx_ = nullptr;  // optional, shape-only (see ctor)
 };
 
 }  // namespace segroute::harness

@@ -158,7 +158,6 @@ alg::RouteResult express_route(const SegmentedChannel& ch,
              "connections exceed channel width");
     return res;
   }
-  const ChannelIndex* idx = ctx.index;
   std::optional<Occupancy> local_occ;
   Occupancy& occ = ctx.occupancy ? *ctx.occupancy : local_occ.emplace(ch);
   if (ctx.occupancy) occ.reset();
@@ -168,12 +167,11 @@ alg::RouteResult express_route(const SegmentedChannel& ch,
     int best_segs = 0;
     Column best_len = 0;
     for (TrackId t = 0; t < ch.num_tracks(); ++t) {
-      const int segs = idx ? idx->segments_spanned(t, c.left, c.right)
-                           : ch.track(t).segments_spanned(c.left, c.right);
+      const Track& tr = ch.track(t);
+      const int segs = tr.segments_spanned(c.left, c.right);
       if (max_segments > 0 && segs > max_segments) continue;
       if (!occ.fits(t, c.left, c.right)) continue;
-      const Column len = idx ? idx->occupied_length(t, c.left, c.right)
-                             : ch.track(t).occupied_length(c.left, c.right);
+      const Column len = tr.occupied_length(c.left, c.right);
       if (best == kNoTrack || segs < best_segs ||
           (segs == best_segs && len < best_len)) {
         best = t;

@@ -20,8 +20,8 @@
 
 #include "alg/result.h"
 #include "core/channel.h"
-#include "core/channel_index.h"
 #include "core/connection.h"
+#include "core/routing.h"
 #include "fpga/delay.h"
 
 namespace segroute::net {
@@ -83,9 +83,8 @@ NetworkReport offer_traffic(const SegmentedChannel& ch,
 /// occupied length, then lowest track). With `max_segments` > 0,
 /// assignments occupying more segments are not considered. Heuristic —
 /// a kInfeasible failure means "gave up", not a proof. `ctx` optionally
-/// supplies a prebuilt ChannelIndex and a reusable Occupancy (reset
-/// here); results are bit-identical with and without it. Registered in
-/// alg::registry() as "express".
+/// supplies a reusable Occupancy (reset here); results are bit-identical
+/// with and without it. Registered in alg::registry() as "express".
 alg::RouteResult express_route(const SegmentedChannel& ch,
                                const ConnectionSet& cs, int max_segments = 0,
                                const RouteContext& ctx = {});

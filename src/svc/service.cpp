@@ -464,7 +464,7 @@ void RoutingService::stop(StopMode mode) {
 
 void RoutingService::rebind(const SegmentedChannel& ch) {
   // The dispatch lock quiesces routing: no window is in flight while the
-  // engine's shared index is rebuilt, which is exactly the engine's
+  // engine's index is rebuilt, which is exactly the engine's
   // rebind() precondition.
   std::lock_guard<std::mutex> dl(dispatch_mu_);
   engine_.rebind(ch);

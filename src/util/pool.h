@@ -1,8 +1,8 @@
 // ThreadPool: a small fixed pool for deterministic fork-join parallelism.
 //
 // The parallel layers built on top of it (alg::routability trials,
-// capacity probe evaluation, the robust_route racing mode, the parallel
-// bench drivers) all follow one contract: split the work into
+// capacity probe evaluation, the batch engine, the parallel bench
+// drivers) all follow one contract: split the work into
 // independent indices, give each index its own state (seeded RNG stream,
 // output slot), and join. Under that contract the *result* is a pure
 // function of the inputs — bit-identical for every thread count,

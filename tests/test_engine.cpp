@@ -53,28 +53,20 @@ TEST(ChannelIndex, SegmentAtMatchesTrackOnRandomChannels) {
         EXPECT_EQ(idx.seg_left(t, s), tr.segment(s).left);
         EXPECT_EQ(idx.seg_right(t, s), tr.segment(s).right);
       }
-      EXPECT_EQ(idx.num_segments(t), tr.num_segments());
+      // Span lookups agree with Track's binary-search versions.
+      for (Column lo = 1; lo <= ch.width(); lo += 3) {
+        for (Column hi = lo; hi <= ch.width(); hi += 5) {
+          EXPECT_EQ(idx.span(t, lo, hi), tr.span(lo, hi));
+          EXPECT_EQ(idx.occupied_length(t, lo, hi), tr.occupied_length(lo, hi));
+        }
+      }
     }
   }
 }
 
-TEST(ChannelIndex, FlatTablesCoveringAndTypesAreConsistent) {
+TEST(ChannelIndex, TypeClassesPartitionTheTracks) {
   const auto ch = gen::progressive_segmentation(6, 24, 4, 2);
   const ChannelIndex idx(ch);
-  int total = 0;
-  for (TrackId t = 0; t < ch.num_tracks(); ++t) total += idx.num_segments(t);
-  EXPECT_EQ(idx.total_segments(), total);
-  for (TrackId t = 0; t < ch.num_tracks(); ++t) {
-    for (SegId s = 0; s < idx.num_segments(t); ++s) {
-      EXPECT_EQ(idx.track_of_flat(idx.seg_base(t) + s), t);
-    }
-  }
-  for (Column c = 1; c <= ch.width(); ++c) {
-    const int* cov = idx.covering_at(c);
-    for (TrackId t = 0; t < ch.num_tracks(); ++t) {
-      EXPECT_EQ(cov[t], idx.seg_base(t) + idx.segment_at(t, c));
-    }
-  }
   // Type classes partition the tracks and members share the representative's
   // segmentation.
   std::vector<char> seen(static_cast<std::size_t>(ch.num_tracks()), 0);
@@ -83,7 +75,7 @@ TEST(ChannelIndex, FlatTablesCoveringAndTypesAreConsistent) {
     for (TrackId t : idx.tracks_of_type(ty)) {
       seen[static_cast<std::size_t>(t)] = 1;
       EXPECT_EQ(idx.type_of()[static_cast<std::size_t>(t)], ty);
-      EXPECT_EQ(idx.num_segments(t), idx.num_segments(rep));
+      EXPECT_EQ(ch.track(t).segments(), ch.track(rep).segments());
     }
   }
   EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](char c) { return c; }));
@@ -165,7 +157,6 @@ TEST(Scratch, SteadyStateHoldsNoNewMemoryAndCountsRebinds) {
   const auto route_all = [&] {
     alg::DpOptions o;
     o.weight = weights::occupied_length();
-    o.index = &ia;
     o.workspace = &scratch.dp();
     for (const auto& cs : sets) {
       const auto r = alg::dp_route(a, cs, o);

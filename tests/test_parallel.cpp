@@ -1,7 +1,6 @@
 // Tests for the parallel layer (util::ThreadPool + the threaded capacity
-// searches + robust_route racing) and the DP stats-on-every-exit
-// contract. The load-bearing property throughout: results are
-// bit-identical across thread counts.
+// searches) and the DP stats-on-every-exit contract. The load-bearing
+// property throughout: results are bit-identical across thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,11 +11,10 @@
 
 #include "alg/capacity.h"
 #include "alg/dp.h"
-#include "core/weights.h"
 #include "gen/segmentation.h"
 #include "gen/suite.h"
 #include "gen/workload.h"
-#include "harness/robust_route.h"
+#include "harness/budget.h"
 #include "util/pool.h"
 
 namespace segroute {
@@ -181,65 +179,6 @@ TEST(ParallelCapacity, MaxRoutablePrefixMatchesSerialAndLinearScan) {
           << "iter " << iter << " w=" << w;
     }
   }
-}
-
-// ------------------------------------------------------- racing cascade --
-
-TEST(RobustRace, FeasibilityMatchesSerialOnSuite) {
-  for (const auto& inst : gen::standard_suite()) {
-    harness::RobustOptions serial;
-    const auto want = harness::robust_route(inst.channel, inst.connections,
-                                            serial);
-    harness::RobustOptions race = serial;
-    race.race = true;
-    const auto got = harness::robust_route(inst.channel, inst.connections,
-                                           race);
-    EXPECT_EQ(want.success, got.success) << inst.name;
-    // Racing reports *every* cascade stage (default cascade: 5), in
-    // order, while the serial cascade stops at the first verified win.
-    EXPECT_EQ(got.stages.size(), 5u) << inst.name;
-    EXPECT_GE(got.stages.size(), want.stages.size()) << inst.name;
-    if (got.success) {
-      // Whoever won the race, the winning stage must be verified.
-      bool winner_verified = false;
-      for (const auto& s : got.stages) {
-        if (s.router == got.winner) winner_verified = s.verified;
-      }
-      EXPECT_TRUE(winner_verified) << inst.name;
-    }
-  }
-}
-
-TEST(RobustRace, OptimizingModeFindsTheOptimalWeight) {
-  const auto w = weights::occupied_length();
-  for (const auto& inst : gen::standard_suite()) {
-    if (!inst.routable) continue;
-    harness::RobustOptions race;
-    race.weight = w;
-    race.race = true;
-    const auto got = harness::robust_route(inst.channel, inst.connections,
-                                           race);
-    ASSERT_TRUE(got.success) << inst.name;
-    // The cascade contains the exact DP, so the race must return the
-    // pinned optimum regardless of which stages also finished.
-    EXPECT_NEAR(got.weight, inst.optimal_length, 1e-9) << inst.name;
-  }
-}
-
-TEST(RobustRace, ExternalCancelStopsTheRace) {
-  const auto inst = gen::suite_instance("routable-large");
-  std::atomic<bool> cancel{true};  // cancelled before it starts
-  harness::RobustOptions race;
-  race.race = true;
-  race.cancel = &cancel;
-  // Race two budget-checking exact stages. (With cheap greedy stages in
-  // the cascade the outcome would be timing-dependent: a stage can
-  // verifiably succeed before its first cancellation check, which the
-  // racing contract allows.)
-  race.stages = {{"dp", {}}, {"dp", {}}};
-  const auto got = harness::robust_route(inst.channel, inst.connections, race);
-  EXPECT_FALSE(got.success);
-  EXPECT_EQ(got.failure, alg::FailureKind::kBudgetExhausted);
 }
 
 // ------------------------------------------- DP stats on every exit path --

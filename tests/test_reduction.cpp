@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "alg/dp.h"
+#include "alg/registry.h"
+#include "core/router.h"
+#include "core/weights.h"
 #include "gen/fixtures.h"
 
 namespace segroute::npc {
@@ -184,6 +191,66 @@ TEST(Reduction, Theorem2EquivalenceOnRandomInstances) {
   }
   EXPECT_GT(solvable, 0);
   EXPECT_GT(unsolvable, 0);
+}
+
+// Differential check on the paper's own hard family: the exact routers
+// must agree on feasibility and on the optimal occupied length of every
+// reduction instance Q and Q2, unlimited and at K = 1, 2. At K = 1 the
+// two matching-based routers join in. Each call runs under a deadline;
+// running out of it fails the test instead of passing it vacuously.
+TEST(Reduction, ExactRoutersAgreeOnTheHardFamily) {
+  const auto w = weights::occupied_length();
+  std::mt19937_64 rng(103);
+  int feasible = 0, infeasible = 0;
+  for (int iter = 0; iter < 4; ++iter) {
+    const auto raw = (iter % 2 == 0) ? random_solvable_nmts(2, rng)
+                                     : random_perturbed_nmts(2, rng);
+    const auto inst = raw.normalized();
+    const auto q = build_unlimited(inst);
+    const auto q2 = build_two_segment(inst);
+    const std::pair<const SegmentedChannel*, const ConnectionSet*> family[] = {
+        {&q.channel, &q.connections}, {&q2.channel, &q2.connections}};
+    for (int which = 0; which < 2; ++which) {
+      for (int k : {0, 1, 2}) {
+        const std::string where = "iter " + std::to_string(iter) + " Q" +
+                                  (which ? "2" : "") + " K=" +
+                                  std::to_string(k);
+        RouteRequest rq;
+        rq.channel = family[which].first;
+        rq.connections = family[which].second;
+        rq.options.max_segments = k;
+        rq.options.weight = w;
+        rq.budget.deadline = std::chrono::seconds(20);
+        const auto run = [&](const char* name, const RouteRequest& req) {
+          const auto r = alg::route(name, req);
+          EXPECT_TRUE(r.success || r.failure == alg::FailureKind::kInfeasible)
+              << where << " / " << name << ": " << r.note;
+          EXPECT_TRUE(!r.success || r.note.empty())
+              << where << " / " << name << " stopped early: " << r.note;
+          return r;
+        };
+        const auto dp = run("dp", rq);
+        std::vector<std::pair<const char*, alg::RouteResult>> others = {
+            {"exhaustive", run("exhaustive", rq)},
+            {"branch_bound", run("branch_bound", rq)}};
+        if (k == 1) {
+          others.emplace_back("match1", run("match1", rq));
+          RouteRequest feas = rq;
+          feas.options.weight.reset();
+          others.emplace_back("greedy1", run("greedy1", feas));
+        }
+        for (const auto& [name, r] : others) {
+          ASSERT_EQ(dp.success, r.success) << where << " / " << name;
+          if (r.success && std::string(name) != "greedy1") {
+            EXPECT_DOUBLE_EQ(dp.weight, r.weight) << where << " / " << name;
+          }
+        }
+        (dp.success ? feasible : infeasible)++;
+      }
+    }
+  }
+  EXPECT_GT(feasible, 0);
+  EXPECT_GT(infeasible, 0);
 }
 
 }  // namespace

@@ -283,19 +283,23 @@ TEST(Registry, BitIdenticalToLegacyWrappers) {
   }
 }
 
-// With a prebuilt index and scratch in the request (the engine's steady
-// state), results still match the context-free path bit for bit.
+// With shared scratch in the request (the engine's steady state), results
+// still match the context-free path bit for bit — for every router that
+// takes a shared Occupancy or DpWorkspace (match1 ignores both). One
+// Occupancy and one workspace serve every router on a fixture in turn, so
+// stale state would leak between calls.
 TEST(Registry, SharedContextDoesNotChangeResults) {
+  const auto w = weights::occupied_length();
   for (const Fixture& f : fixtures()) {
-    const ChannelIndex index(f.channel);
     Occupancy occ(f.channel);
     DpWorkspace ws;
-    for (const char* name : {"dp", "greedy1", "match1"}) {
+    for (const char* name :
+         {"dp", "greedy1", "match1", "left_edge", "partial", "express"}) {
       RouteRequest plain;
       plain.channel = &f.channel;
       plain.connections = &f.connections;
+      if (std::string(name) == "dp") plain.options.weight = w;
       RouteRequest shared = plain;
-      shared.context.index = &index;
       shared.context.occupancy = &occ;
       shared.dp_workspace = &ws;
       const auto a = route(name, plain);
@@ -304,6 +308,11 @@ TEST(Registry, SharedContextDoesNotChangeResults) {
       EXPECT_EQ(a.failure, b.failure) << f.name << " / " << name;
       EXPECT_EQ(a.weight, b.weight) << f.name << " / " << name;
       EXPECT_TRUE(a.routing == b.routing) << f.name << " / " << name;
+      ASSERT_EQ(a.unrouted.size(), b.unrouted.size()) << f.name << " / " << name;
+      for (std::size_t u = 0; u < a.unrouted.size(); ++u) {
+        EXPECT_EQ(a.unrouted[u].conn, b.unrouted[u].conn) << f.name << " / " << name;
+        EXPECT_EQ(a.unrouted[u].kind, b.unrouted[u].kind) << f.name << " / " << name;
+      }
     }
   }
 }
