@@ -4,22 +4,24 @@
 //
 //   edit throughput   seeded edit scripts (add/remove/move) over four
 //                     channel families. Per edit, three competitors are
-//                     timed against the same live set: the OnlineRouter
-//                     repair path (apply()), the canonical stateless
+//                     timed against the same live set: the session's
+//                     OnlineRouter::apply(), the canonical stateless
 //                     replay (alg::from_scratch — what a service without
 //                     sessions would recompute), and the exact DP
 //                     re-route (dp_route_unlimited — the from-scratch
 //                     competitor the paper's offline formulation implies).
 //                     After every apply the session snapshot must equal
 //                     from_scratch bit for bit (the canonical-state
-//                     contract of alg/delta.h).
+//                     contract of alg/delta.h). "Repair" counts the
+//                     edits whose new state is in the greedy regime.
 //   script digest     one fixed-size edit script (independent of
 //                     --quick, no wall clock anywhere near it) folds
-//                     every repair receipt and the final snapshot into
-//                     an FNV digest. The digest is committed in the
-//                     baseline JSON: any change to repair order,
-//                     tie-breaks, id allocation or the DP fallback
-//                     trips the perf gate even if no unit test names it.
+//                     every receipt and the full snapshot after every
+//                     applied edit into an FNV digest. The digest is
+//                     committed in the baseline JSON: any change to
+//                     replay order, tie-breaks, id allocation or the DP
+//                     fallback trips the perf gate even if no unit test
+//                     names it.
 //
 // Checked invariants (fatal):
 //   - snapshot == from_scratch after every timed apply (always);
@@ -185,9 +187,9 @@ bool run_family(const Family& f, int steps, std::uint64_t seed, Row* row) {
 }
 
 /// The pinned edit script: fixed size regardless of --quick so the
-/// digest in the committed baseline matches every mode. Folds every
-/// receipt field that is part of the delta contract, then the final
-/// snapshot (spans + tracks), FNV-1a style.
+/// digest in the committed baseline matches every mode. Folds each
+/// receipt (success, path, failure, id) and, after every applied edit,
+/// the full snapshot (spans + tracks), FNV-1a style.
 std::uint64_t script_digest() {
   constexpr std::uint64_t kPrime = 1099511628211ull;
   std::uint64_t h = 1469598103934665603ull;
@@ -207,26 +209,20 @@ std::uint64_t script_digest() {
         (static_cast<std::uint64_t>(out.path) << 1) |
         (static_cast<std::uint64_t>(out.failure) << 4) |
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(out.id)) << 8));
-    mix(static_cast<std::uint32_t>(out.affected_lo) |
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(out.affected_hi))
-         << 32));
-    mix(static_cast<std::uint32_t>(out.reconsidered) |
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(out.moved))
-         << 32));
     if (!out.success) continue;
     if (e.kind == alg::ChannelEdit::Kind::kAdd) {
       live.push_back(out.id);
     } else if (e.kind == alg::ChannelEdit::Kind::kRemove) {
       live.erase(std::find(live.begin(), live.end(), out.id));
     }
-  }
-  const auto [cs, routing] = session.snapshot();
-  mix(static_cast<std::uint64_t>(cs.size()));
-  for (ConnId c = 0; c < cs.size(); ++c) {
-    mix(static_cast<std::uint32_t>(cs[c].left) |
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cs[c].right))
-         << 32));
-    mix(static_cast<std::uint64_t>(routing.track_of(c) + 1));
+    const auto [cs, routing] = session.snapshot();
+    mix(static_cast<std::uint64_t>(cs.size()));
+    for (ConnId c = 0; c < cs.size(); ++c) {
+      mix(static_cast<std::uint32_t>(cs[c].left) |
+          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cs[c].right))
+           << 32));
+      mix(static_cast<std::uint64_t>(routing.track_of(c) + 1));
+    }
   }
   return h;
 }
@@ -356,7 +352,7 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(*bhi) != (digest >> 32) ||
         static_cast<std::uint64_t>(*blo) != (digest & 0xffffffffull)) {
       std::cout << "  FAIL: edit-script digest drifted from the committed "
-                   "baseline (repair order / tie-break / id-allocation "
+                   "baseline (replay order / tie-break / id-allocation "
                    "change?)\n";
       ++failures;
     }

@@ -1,9 +1,9 @@
-// Incremental design editing: the OnlineRouter inserting, removing and
-// rerouting connections the way an interactive FPGA tool does, then an
-// ECO applied through the ChannelEdit delta contract — every edit
-// returns a proof-carrying RepairOutcome saying whether the localized
-// repair or the full-DP fallback ran, and the final state is verified
-// bit-identical to routing the same set from scratch.
+// Incremental design editing: an OnlineRouter session placing nets,
+// then an engineering change order (removes and adds) and a move, each
+// as one ChannelEdit through apply(). Every edit returns a RepairOutcome
+// saying whether the canonical greedy or the DP fallback produced the
+// new state, and the final state is checked against routing the same
+// set from scratch. Exits nonzero if the final snapshot is invalid.
 //
 // Run:  ./build/examples/incremental_edit  [--out output.svg]
 // The SVG snapshot defaults to incremental_edit.svg next to the binary
@@ -49,25 +49,26 @@ int main(int argc, char** argv) {
     const Column r = std::min<Column>(32, l + 2 + static_cast<Column>(rng() % 8));
     std::string name = "n";
     name += std::to_string(i);
-    if (auto id = router.insert_with_ripup(l, r, name)) {
-      live.push_back(*id);
-      std::cout << "insert n" << i << " [" << l << "," << r << "] -> t"
-                << router.track_of(*id) + 1 << "\n";
+    const alg::RepairOutcome rc =
+        router.apply(alg::ChannelEdit::add(l, r, name));
+    std::cout << "add " << name << " [" << l << "," << r << "] -> ";
+    if (rc.success) {
+      live.push_back(rc.id);
+      std::cout << "t" << router.track_of(rc.id) + 1 << " via "
+                << alg::to_string(rc.path) << "\n";
     } else {
-      std::cout << "insert n" << i << " [" << l << "," << r << "] -> DROPPED\n";
+      std::cout << "REJECTED (" << alg::to_string(rc.failure) << ")\n";
     }
   }
 
-  // An engineering change order through the delta contract: each edit is
-  // one ChannelEdit, and the RepairOutcome receipt reports which path
-  // ran and the column window the repair re-evaluated.
-  std::cout << "\nECO: removing 3 nets, adding 3 longer ones (delta API)\n";
+  // An engineering change order: each edit is one ChannelEdit; a
+  // rejected one leaves the session unchanged.
+  std::cout << "\nECO: removing 3 nets, adding 3 longer ones\n";
   for (int k = 0; k < 3 && !live.empty(); ++k) {
     const ConnId victim = live.back();
     const alg::RepairOutcome rc = router.apply(alg::ChannelEdit::remove(victim));
     std::cout << "  remove #" << victim << " -> " << alg::to_string(rc.path)
-              << ", window [" << rc.affected_lo << "," << rc.affected_hi
-              << "], reconsidered " << rc.reconsidered << "\n";
+              << "\n";
     live.pop_back();
   }
   for (int i = 0; i < 3; ++i) {
@@ -84,18 +85,26 @@ int main(int argc, char** argv) {
                 << alg::to_string(rc.path) << "\n";
     } else {
       std::cout << "  add " << name << " [" << l << "," << r
-                << "] -> REJECTED (state rolled back)\n";
+                << "] -> REJECTED (state unchanged)\n";
     }
   }
 
-  // Clean-up pass: let every net look for a snugger home.
-  std::cout << "\nReroute pass:\n";
-  for (ConnId id : live) {
-    const TrackId before = router.track_of(id);
-    const TrackId after = router.reroute(id);
-    if (before != after) {
-      std::cout << "  " << router.connection(id).name << ": t" << before + 1
-                << " -> t" << after + 1 << "\n";
+  // A move: the first net shifts right; it keeps its id and name, and
+  // every net is re-placed canonically around its new span.
+  if (!live.empty()) {
+    const ConnId id = live.front();
+    const Connection before = router.connection(id);
+    const Column shift = std::min<Column>(4, 32 - before.right);
+    const alg::RepairOutcome rc = router.apply(alg::ChannelEdit::move(
+        id, before.left + shift, before.right + shift));
+    std::cout << "\nmove " << before.name << " [" << before.left << ","
+              << before.right << "] -> [" << before.left + shift << ","
+              << before.right + shift << "]: ";
+    if (rc.success) {
+      std::cout << "t" << router.track_of(id) + 1 << " via "
+                << alg::to_string(rc.path) << "\n";
+    } else {
+      std::cout << "REJECTED (state unchanged)\n";
     }
   }
 
@@ -119,5 +128,5 @@ int main(int argc, char** argv) {
 
   std::ofstream(out) << io::to_svg(channel, cs, &routing);
   std::cout << "SVG written to " << out << "\n";
-  return 0;
+  return verdict ? 0 : 1;
 }

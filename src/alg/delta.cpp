@@ -1,7 +1,5 @@
 #include "alg/delta.h"
 
-#include <limits>
-
 #include "alg/registry.h"
 #include "core/routing.h"
 
@@ -31,12 +29,9 @@ CanonicalResult from_scratch(const SegmentedChannel& ch,
   CanonicalResult out;
   out.result.routing = Routing(cs.size());
 
-  // Canonical greedy: insert in id order, picking the policy's track with
-  // the same scan order and tie-breaks as OnlineRouter::pick_track. This
-  // deliberately goes through Track (binary-search segment_at), not
-  // ChannelIndex, so the incremental engine is diffed against an
-  // independently derived answer.
   Occupancy occ(ch);
+  const FitScore score =
+      policy_best_fit ? FitScore::kOccupiedLength : FitScore::kFirstFit;
   bool greedy_ok = true;
   for (ConnId i = 0; i < cs.size(); ++i) {
     const Connection& c = cs[i];
@@ -46,30 +41,14 @@ CanonicalResult from_scratch(const SegmentedChannel& ch,
                           " has an invalid span");
       return out;
     }
-    std::optional<TrackId> best;
-    Column best_len = std::numeric_limits<Column>::max();
-    for (TrackId t = 0; t < ch.num_tracks(); ++t) {
-      if (max_segments > 0 &&
-          ch.track(t).segments_spanned(c.left, c.right) > max_segments) {
-        continue;
-      }
-      if (!occ.fits(t, c.left, c.right)) continue;
-      if (!policy_best_fit) {
-        best = t;
-        break;
-      }
-      const Column len = ch.track(t).occupied_length(c.left, c.right);
-      if (len < best_len) {
-        best_len = len;
-        best = t;
-      }
-    }
-    if (!best) {
+    const TrackId t =
+        best_fit_track(ch, occ, c.left, c.right, max_segments, score);
+    if (t == kNoTrack) {
       greedy_ok = false;
       break;
     }
-    occ.place(*best, c.left, c.right, i);
-    out.result.routing.assign(i, *best);
+    occ.place(t, c.left, c.right, i);
+    out.result.routing.assign(i, t);
   }
   if (greedy_ok) {
     out.result.success = true;
@@ -78,8 +57,7 @@ CanonicalResult from_scratch(const SegmentedChannel& ch,
   }
 
   // Greedy left a connection unplaced: canonical(S) is the exact DP's
-  // answer (registry "dp", default options — the session's fallback calls
-  // it the same way, so the routings agree bit for bit).
+  // answer (registry "dp", default options).
   RouteRequest rq;
   rq.channel = &ch;
   rq.connections = &cs;

@@ -18,26 +18,18 @@
 // it is *bit-identical to from-scratch routing* after every edit. That
 // is the gate the randomized edit-script suite enforces.
 //
-// The repair-first algorithm (OnlineRouter::apply) maintains
-// canonical(S) without replaying everything. An edit dirties a column
-// interval; the interval is closed over segment boundaries on every
-// track (ChannelIndex per-column structure) and over the spans of the
-// connections it touches, to a fixpoint. Connections outside the closed
-// interval provably keep their canonical placement — every segment
-// their greedy decision can see lies outside the dirty region — so only
-// the affected ones are re-placed, in id order. When the localized
-// replay leaves a connection unplaced, the engine falls back to the
-// full DP; when even that fails, the edit is rejected and the state
-// rolled back. The RepairOutcome says which path ran — a proof-carrying
-// receipt, not a hint: kRepair means the localized replay re-derived
-// the greedy fixpoint, kFullDp means the exposed routing is the DP's.
+// OnlineRouter::apply maintains canonical(S) by computing it: it applies
+// the edit to the live sequence and calls from_scratch() on the result,
+// committing only on success. The RepairOutcome says which regime the
+// new state is in: kRepair means the canonical greedy placed every
+// connection, kFullDp means the exposed routing is the DP's.
 //
-// from_scratch() is the *independent* reference implementation of
-// canonical(): a plain insertion loop over Track (not ChannelIndex)
-// plus a registry "dp" call. Tests diff the incremental engine against
-// it bitwise; the "delta" registry router serves it through the batch
-// engine so the same reference runs under every thread count and cache
-// mode.
+// Why a full replay and not a localized repair: live sets are small, a
+// windowed repair measured at most 1.46x faster than the replay, and
+// the DP fallback dominates the mean edit time (DESIGN.md §16.2).
+//
+// tests/test_delta.cpp diffs sessions against its own best-fit loop and
+// dp_route call, so the tests still compare two implementations.
 #pragma once
 
 #include <cstdint>
@@ -90,15 +82,14 @@ struct ChannelEdit {
 
 const char* to_string(ChannelEdit::Kind k);
 
-/// Proof-carrying outcome of one apply(): which algorithm produced the
-/// exposed state, what it touched, and why it failed if it did. The
-/// session state after a failed apply() is bit-identical to the state
-/// before it (rollback is part of the contract).
+/// Outcome of one apply(): which regime produced the exposed state, and
+/// why the edit failed if it did. The session state after a failed
+/// apply() is the state before it (it commits only on success).
 struct RepairOutcome {
   enum class Path {
     kNone = 0,   // edit rejected before any routing ran
-    kRepair,     // localized replay of the affected window sufficed
-    kFullDp,     // local repair left a connection unplaced; DP re-solved
+    kRepair,     // the canonical greedy placed every connection
+    kFullDp,     // greedy left a connection unplaced; the DP ran
   };
 
   bool success = false;
@@ -108,14 +99,6 @@ struct RepairOutcome {
   /// Id of the connection the edit created (kAdd) or targeted.
   ConnId id = kNoConn;
 
-  /// The affected-column mask: the closed dirty interval the repair
-  /// re-evaluated, in channel columns ([0, -1] when nothing was dirty).
-  /// Everything outside it provably kept its placement.
-  Column affected_lo = 0;
-  Column affected_hi = -1;
-
-  int reconsidered = 0;  // connections re-evaluated by the repair
-  int moved = 0;         // ... of which changed track
   std::string note;
 };
 
@@ -127,9 +110,10 @@ enum class CanonicalRegime {
   kDp,          // greedy left a connection unplaced; DP routed S
 };
 
-/// canonical(S) computed from scratch: the independent reference the
-/// edit-script suite diffs incremental sessions against. `policy_best_fit`
-/// selects the BestFit pick (the session default); false = FirstFit.
+/// canonical(S) computed from scratch: the canonical greedy in id order
+/// through best_fit_track (core/routing.h), then the registry "dp" when
+/// greedy strands a connection. `policy_best_fit` selects the least
+/// occupied length pick (the session default); false = FirstFit.
 /// On success `regime` says which branch of canonical() produced
 /// `result.routing`. Failure kinds: kInvalidInput for malformed spans,
 /// kInfeasible when neither greedy nor DP routes S, kBudgetExhausted

@@ -1,31 +1,21 @@
-// Incremental (online) segmented-channel routing: insert and remove
-// connections one at a time, with an optional single-level rip-up-and-
-// re-route on failure. This is the engine an interactive FPGA tool needs
-// (incremental design changes), built on the same occupancy model as the
-// batch routers.
+// Incremental (online) segmented-channel routing: an edit session that
+// adds, removes and moves connections one at a time. This is the engine
+// an interactive FPGA tool needs (incremental design changes), and it
+// backs the service's edit sessions and the chaos harness's edit stream.
 //
-// Two API generations coexist:
-//
-//  - the legacy per-call API (insert / insert_with_ripup / remove /
-//    reroute): best-effort heuristics with no cross-call invariant;
-//  - the delta API (apply(ChannelEdit)): maintains the *canonical*
-//    routing of the live connection sequence (alg/delta.h) via localized
-//    repair with a full-DP fallback, so an editing session stays
-//    bit-identical to routing its connection set from scratch.
-//
-// Both operate on arbitrary segmentation with K-segment limits; the hot
-// lookups (segment spans, fit scans, best-fit lengths, repair-window
-// closure) go through an owned ChannelIndex instead of per-call binary
-// searches.
+// The session holds the canonical routing of its live connection
+// sequence (alg/delta.h). apply() applies one ChannelEdit to that
+// sequence and recomputes canonical(S) with alg::from_scratch, so the
+// state after every edit is bit-identical to routing the live set from
+// scratch, on any segmentation and under any K-segment limit.
 #pragma once
 
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "alg/delta.h"
 #include "alg/result.h"
 #include "core/channel.h"
-#include "core/channel_index.h"
 #include "core/connection.h"
 #include "core/routing.h"
 #include "harness/budget.h"
@@ -33,14 +23,11 @@
 namespace segroute::alg {
 
 /// Error contract: like the batch routers, this stateful API never
-/// throws on caller errors. An out-of-range span passed to insert()/
-/// insert_with_ripup() yields nullopt with last_failure() ==
-/// FailureKind::kInvalidInput (vs kInfeasible when no feasible track
-/// exists); an unknown/removed connection id makes remove() return
-/// false and reroute()/track_of() return kNoTrack; a malformed
-/// ChannelEdit makes apply() fail with kInvalidInput. The object is
-/// unchanged by any rejected call, including a failed apply() whose DP
-/// fallback ran out of budget (rollback is part of the contract).
+/// throws on caller errors. A malformed ChannelEdit (an out-of-range
+/// span, or an unknown/removed id) makes apply() fail with
+/// kInvalidInput; track_of() reports kNoTrack for unknown/removed ids.
+/// A failed apply(), including one whose DP fallback ran out of budget,
+/// leaves the session unchanged.
 class OnlineRouter {
  public:
   enum class Policy {
@@ -49,72 +36,20 @@ class OnlineRouter {
   };
 
   /// `max_segments` = 0 for unlimited, K > 0 for K-segment routing.
-  /// Any segmentation is accepted (the historical le-2-segments
-  /// restriction is gone — the router indexes the channel it is given).
   explicit OnlineRouter(SegmentedChannel channel,
                         Policy policy = Policy::BestFit, int max_segments = 0);
 
-  // The owned ChannelIndex borrows the channel member, so the router is
-  // pinned to its address; hold it in a unique_ptr (or a node-stable
-  // container) when it must outlive a scope.
-  OnlineRouter(const OnlineRouter&) = delete;
-  OnlineRouter& operator=(const OnlineRouter&) = delete;
-
-  /// Inserts a connection; returns its id on success (stable across
-  /// removals of other connections), or nullopt on failure —
-  /// last_failure() then says whether the span was invalid
-  /// (kInvalidInput) or no feasible track exists under the policy
-  /// (kInfeasible).
-  std::optional<ConnId> insert(Column left, Column right,
-                               std::string name = {});
-
-  /// Inserts with single-level rip-up: if plain insertion fails, tries
-  /// evicting one placed connection that blocks some track, inserting the
-  /// new connection there, and re-placing the evicted one elsewhere.
-  /// Either both end up placed or the state is left unchanged. Failure
-  /// reporting as insert().
-  std::optional<ConnId> insert_with_ripup(Column left, Column right,
-                                          std::string name = {});
-
-  /// Why the most recent mutating call failed; kNone after every
-  /// successful insert()/insert_with_ripup()/remove()/reroute()/apply().
-  /// A rejected remove()/reroute() (unknown id) leaves it untouched, as
-  /// those report failure in-band.
-  [[nodiscard]] FailureKind last_failure() const { return last_failure_; }
-
-  /// Removes a previously inserted connection (its id becomes invalid).
-  /// Returns false (and changes nothing) for unknown/removed ids.
-  bool remove(ConnId id);
-
-  /// Moves a placed connection to the best feasible track under the
-  /// policy (possibly the one it is already on). Returns the new track,
-  /// or kNoTrack (and changes nothing) for unknown/removed ids.
-  TrackId reroute(ConnId id);
-
-  /// The delta API: applies one add/remove/move edit while maintaining
-  /// the canonical routing of the live sequence (alg/delta.h). First a
-  /// localized repair re-places only the connections inside the edit's
-  /// segment-closed dirty column window; if that leaves one unplaced,
-  /// the exact DP re-routes the full live set under `budget`; if even
-  /// that fails, the edit is rejected and the state rolled back
-  /// bit-identically. The returned RepairOutcome is the receipt: which
-  /// path ran, the affected window, and the new/target connection id.
-  /// After any successful apply(), snapshot() equals
-  /// delta.h's from_scratch() on the same live set, bit for bit.
+  /// Applies one add/remove/move edit: builds the edited live sequence
+  /// in id order and routes it with from_scratch() under `budget`. On
+  /// success the new routing is committed; otherwise the edit is
+  /// rejected and nothing changes. The returned RepairOutcome says
+  /// which regime the state is in and carries the new/target id. Ids
+  /// are handed out in add order and stay stable across other edits.
   RepairOutcome apply(const ChannelEdit& edit,
                       const harness::Budget& budget = {});
 
-  /// True while the live state is the canonical *greedy* routing (the
-  /// invariant the localized repair relies on). Cleared by a DP
-  /// fallback and by the legacy mutators that break the canonical
-  /// construction (insert_with_ripup/remove/reroute); the next apply()
-  /// then renormalizes over the full width before repairing locally
-  /// again.
-  [[nodiscard]] bool greedy_canonical() const { return greedy_canonical_; }
-
   [[nodiscard]] const SegmentedChannel& channel() const { return channel_; }
-  [[nodiscard]] const ChannelIndex& index() const { return index_; }
-  [[nodiscard]] int num_placed() const { return num_placed_; }
+  [[nodiscard]] int num_placed() const;
   [[nodiscard]] bool is_placed(ConnId id) const;
   /// Track of a placed connection, or kNoTrack for unknown/removed ids.
   [[nodiscard]] TrackId track_of(ConnId id) const;
@@ -128,52 +63,11 @@ class OnlineRouter {
   [[nodiscard]] std::pair<ConnectionSet, Routing> snapshot() const;
 
  private:
-  [[nodiscard]] std::optional<TrackId> pick_track(const Connection& c) const;
-  [[nodiscard]] bool feasible_on(const Connection& c, TrackId t) const;
-
-  /// Expands [lo, hi] until every segment (on any track) it intersects
-  /// lies entirely inside it — the closure that makes a dirty column
-  /// window safe to repair in isolation.
-  void close_over_segments(Column& lo, Column& hi) const;
-
-  /// Re-places every live connection whose span intersects the
-  /// segment-closed window grown from [lo, hi] (cascading the closure
-  /// over affected spans to a fixpoint), in increasing id order. On
-  /// success the state is the canonical greedy routing restricted to
-  /// the window; on failure (some connection unplaced) returns false
-  /// with the occupancy partially rebuilt — callers fall back to DP or
-  /// roll back via a Memento.
-  bool repair_window(Column lo, Column hi, RepairOutcome& out);
-
-  /// Routes the full live set with the registry DP (the canonical
-  /// fallback regime). On success installs the DP routing and clears
-  /// greedy_canonical_; on failure leaves the state for the caller to
-  /// roll back.
-  bool full_dp(const harness::Budget& budget, RepairOutcome& out);
-
-  /// Copy-out/copy-in rollback state for apply()'s failure contract.
-  struct Memento {
-    std::vector<Connection> conns;
-    std::vector<TrackId> track_of;
-    std::vector<bool> live;
-    Occupancy occ;
-    int num_placed;
-    bool greedy_canonical;
-  };
-  [[nodiscard]] Memento save_state() const;
-  void restore_state(Memento&& m);
-
   SegmentedChannel channel_;
-  ChannelIndex index_;  // must follow channel_ (borrows it)
   Policy policy_;
   int max_segments_;
-  FailureKind last_failure_ = FailureKind::kNone;
-  Occupancy occ_;
   std::vector<Connection> conns_;   // slot per id; removed slots stay
   std::vector<TrackId> track_of_;   // kNoTrack when removed
-  std::vector<bool> live_;
-  int num_placed_ = 0;
-  bool greedy_canonical_ = true;
 };
 
 }  // namespace segroute::alg

@@ -18,7 +18,6 @@ RouteResult partial_route(const SegmentedChannel& ch, const ConnectionSet& cs,
     return res;
   }
 
-  const TrackId T = ch.num_tracks();
   const Column W = ch.width();
 
   // Borrowed workspace when the engine provides one, a local otherwise.
@@ -44,18 +43,9 @@ RouteResult partial_route(const SegmentedChannel& ch, const ConnectionSet& cs,
       res.unrouted.push_back({i, FailureKind::kInvalidInput});
       continue;
     }
-    // Best fit: fewest segments spanned, ties to the lowest track id
-    // (ascending scan with strict <).
-    TrackId best = kNoTrack;
-    int best_spans = 0;
-    for (TrackId t = 0; t < T; ++t) {
-      const int spans = ch.track(t).segments_spanned(c.left, c.right);
-      if (opts.max_segments > 0 && spans > opts.max_segments) continue;
-      if (best != kNoTrack && spans >= best_spans) continue;
-      if (!occ->fits(t, c.left, c.right)) continue;
-      best = t;
-      best_spans = spans;
-    }
+    const TrackId best =
+        best_fit_track(ch, *occ, c.left, c.right, opts.max_segments,
+                       FitScore::kSegmentsSpanned);
     if (best == kNoTrack) {
       res.unrouted.push_back({i, FailureKind::kInfeasible});
       continue;

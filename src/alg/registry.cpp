@@ -12,7 +12,6 @@
 #include "alg/left_edge.h"
 #include "alg/lp_route.h"
 #include "alg/match1.h"
-#include "alg/online.h"
 #include "alg/partial.h"
 #include "core/routing.h"
 #include "net/express.h"
@@ -117,45 +116,9 @@ RouteResult route_exhaustive(const RouteRequest& rq) {
   return exhaustive_route(*rq.channel, *rq.connections, o);
 }
 
+/// The edit session's canonical routing of a whole set (alg/delta.h):
+/// what an OnlineRouter that added the set in id order holds.
 RouteResult route_online(const RouteRequest& rq) {
-  const ConnectionSet& cs = *rq.connections;
-  RouteResult res;
-  res.routing = Routing(cs.size());
-  const std::string policy = rq.options.param_str("policy", "best-fit");
-  OnlineRouter::Policy p;
-  if (policy == "best-fit") {
-    p = OnlineRouter::Policy::BestFit;
-  } else if (policy == "first-fit") {
-    p = OnlineRouter::Policy::FirstFit;
-  } else {
-    res.fail(FailureKind::kInvalidInput,
-             "online: unknown policy \"" + policy + "\"");
-    return res;
-  }
-  const bool ripup = rq.options.param_bool("ripup", true);
-  OnlineRouter router(*rq.channel, p, rq.options.max_segments);
-  // Insert in id order: OnlineRouter hands out ids 0, 1, ... in insertion
-  // order, so its ids coincide with the ConnectionSet's.
-  for (ConnId i = 0; i < cs.size(); ++i) {
-    const Connection& c = cs[i];
-    const auto id = ripup ? router.insert_with_ripup(c.left, c.right, c.name)
-                          : router.insert(c.left, c.right, c.name);
-    if (!id) {
-      res.fail(router.last_failure() == FailureKind::kInvalidInput
-                   ? FailureKind::kInvalidInput
-                   : FailureKind::kInfeasible,
-               "online: connection " + std::to_string(i) + " not placed");
-      return res;
-    }
-  }
-  for (ConnId i = 0; i < cs.size(); ++i) {
-    res.routing.assign(i, router.track_of(i));
-  }
-  res.success = true;
-  return res;
-}
-
-RouteResult route_delta(const RouteRequest& rq) {
   const std::string policy = rq.options.param_str("policy", "best-fit");
   bool best_fit;
   if (policy == "best-fit") {
@@ -166,7 +129,7 @@ RouteResult route_delta(const RouteRequest& rq) {
     RouteResult res;
     res.routing = Routing(rq.connections->size());
     res.fail(FailureKind::kInvalidInput,
-             "delta: unknown policy \"" + policy + "\"");
+             "online: unknown policy \"" + policy + "\"");
     return res;
   }
   CanonicalResult cr =
@@ -251,14 +214,10 @@ const std::vector<RouterEntry>& registry() {
         .supports_k = true,
         .anytime = true},
        &route_exhaustive},
-      {"online", "Problems 1-2 heuristic (incremental session: insert, "
-       "rip-up, delta repair)",
-       "O(M * T) per insert, O(W) repair window", {.supports_k = true},
-       &route_online},
-      {"delta", "Problems 1-2 incremental reference (canonical greedy, "
-       "DP fallback)",
+      {"online", "Problems 1-2 (edit session: canonical greedy, DP "
+       "fallback)",
        "O(M * T) greedy; DP on fallback",
-       {.exact = true, .supports_k = true}, &route_delta},
+       {.exact = true, .supports_k = true}, &route_online},
       {"express", "Problems 1-2 heuristic (express-lane circuit switching)",
        "O(M * T)", {.supports_k = true}, &route_express},
       {"partial", "Problems 1-2 best-effort (maximal greedy subset)",

@@ -5,10 +5,10 @@
 // The stateless routers read SegmentedChannel/Track directly; an index is
 // built only where it is kept and read:
 //
-//  - BatchRouter and CheckpointStore key their caches by fingerprint();
-//  - OnlineRouter and robust_route's repair pre-stage use the O(1)
-//    span() / occupied_length() lookups in their best-fit scans;
-//  - the fabric router reads the type classes.
+//  - BatchRouter and CheckpointStore key their caches by fingerprint(),
+//    and robust_route keys its checkpoints and scratch arenas by it;
+//  - the fabric router reads the type classes and the O(1) segment
+//    lookups.
 //
 // Tables:
 //
@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/channel.h"
@@ -53,17 +52,6 @@ class ChannelIndex {
   [[nodiscard]] SegId segment_at(TrackId t, Column c) const {
     return seg_of_col_[static_cast<std::size_t>(t) * cols_ +
                        static_cast<std::size_t>(c)];
-  }
-
-  /// O(1): segment range [first, last] a span [lo, hi] occupies in track t.
-  [[nodiscard]] std::pair<SegId, SegId> span(TrackId t, Column lo,
-                                             Column hi) const {
-    return {segment_at(t, lo), segment_at(t, hi)};
-  }
-
-  /// Sum of the lengths of the segments a span [lo, hi] occupies in t.
-  [[nodiscard]] Column occupied_length(TrackId t, Column lo, Column hi) const {
-    return seg_right(t, segment_at(t, hi)) - seg_left(t, segment_at(t, lo)) + 1;
   }
 
   /// Ends of segment s of track t.

@@ -63,7 +63,7 @@ struct RouterOptions {
 
   /// Router-specific extras. Documented per registry entry; e.g.
   /// "tie_break" ("lowest"/"highest") for greedy1, "restarts"/"seed" for
-  /// anneal, "policy" ("best-fit"/"first-fit") and "ripup" for online.
+  /// anneal, "policy" ("best-fit"/"first-fit") for online.
   using Param = std::variant<bool, std::int64_t, double, std::string>;
   std::map<std::string, Param> params;
 

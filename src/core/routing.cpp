@@ -72,6 +72,35 @@ void Occupancy::remove(TrackId t, Column lo, Column hi) {
   for (SegId s = a; s <= b; ++s) row[static_cast<std::size_t>(s)] = kNoConn;
 }
 
+TrackId best_fit_track(const SegmentedChannel& ch, const Occupancy& occ,
+                       Column lo, Column hi, int max_segments,
+                       FitScore score) {
+  TrackId best = kNoTrack;
+  Column best_score = 0;
+  for (TrackId t = 0; t < ch.num_tracks(); ++t) {
+    const Track& tr = ch.track(t);
+    const auto [a, b] = tr.span(lo, hi);
+    if (max_segments > 0 && b - a + 1 > max_segments) continue;
+    Column s = 0;
+    if (score == FitScore::kOccupiedLength) {
+      s = tr.segment(b).right - tr.segment(a).left + 1;
+    } else if (score == FitScore::kSegmentsSpanned) {
+      s = b - a + 1;
+    }
+    // Strict <: a later track must beat the score, so ties stay low.
+    if (best != kNoTrack && s >= best_score) continue;
+    bool free = true;
+    for (SegId g = a; free && g <= b; ++g) {
+      free = occ.occupant(t, g) == kNoConn;
+    }
+    if (!free) continue;
+    best = t;
+    best_score = s;
+    if (score == FitScore::kFirstFit) break;
+  }
+  return best;
+}
+
 ValidationResult validate(const SegmentedChannel& ch, const ConnectionSet& cs,
                           const Routing& r, std::optional<int> max_segments,
                           bool require_complete) {

@@ -109,6 +109,23 @@ class Occupancy {
   std::vector<std::vector<ConnId>> occ_;  // per track, per segment
 };
 
+/// How best_fit_track ranks the feasible tracks for a span (lower wins).
+enum class FitScore {
+  kFirstFit,         // every feasible track scores the same
+  kOccupiedLength,   // total length of the segments the span occupies
+  kSegmentsSpanned,  // number of segments the span occupies
+};
+
+/// The greedy track pick shared by the canonical replay (alg::from_scratch),
+/// partial_route and robust_route's repair pre-stage: the feasible track
+/// with the lowest `score` for span [lo, hi], ties to the lowest track, or
+/// kNoTrack when none is feasible. Feasible means every segment the span
+/// occupies is free in `occ` (built for `ch`) and, when max_segments > 0,
+/// the span occupies at most that many segments.
+/// Precondition: 1 <= lo <= hi <= ch.width().
+TrackId best_fit_track(const SegmentedChannel& ch, const Occupancy& occ,
+                       Column lo, Column hi, int max_segments, FitScore score);
+
 /// Shared routing scratch threaded through the occupancy-based routers: a
 /// reusable Occupancy, borrowed, which must have been constructed (or
 /// rebound) for the channel being routed. Default (null) builds a

@@ -1,7 +1,6 @@
 #include "harness/chaos.h"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <random>
 #include <utility>
@@ -95,11 +94,11 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
   // the base channel, driven by per-cycle RNGs derived from the storm
   // seed — NOT by extra draws from `master`, which would shift every
   // subsequent storm and break the pinned default digests.
-  std::unique_ptr<alg::OnlineRouter> session;
+  std::optional<alg::OnlineRouter> session;
   std::vector<ConnId> session_ids;  // live ids, for remove/move targets
   if (opts.edits_per_cycle > 0) {
-    session = std::make_unique<alg::OnlineRouter>(
-        ch, alg::OnlineRouter::Policy::BestFit, opts.max_segments);
+    session.emplace(ch, alg::OnlineRouter::Policy::BestFit,
+                    opts.max_segments);
   }
 
   std::uint64_t digest = kFnvOffset;
@@ -281,10 +280,6 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
             (static_cast<std::uint64_t>(out.path) << 1) |
             (static_cast<std::uint64_t>(
                  static_cast<std::uint32_t>(out.id)) << 8));
-        mix(static_cast<std::uint64_t>(
-                static_cast<std::uint32_t>(out.affected_lo)) |
-            (static_cast<std::uint64_t>(
-                 static_cast<std::uint32_t>(out.affected_hi)) << 32));
       }
       // Bit-identity gate: after every cycle's edits the session must
       // equal canonical(S) computed from scratch — the same contract

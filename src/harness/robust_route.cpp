@@ -143,8 +143,7 @@ RouteReport robust_route(const SegmentedChannel& ch, const ConnectionSet& cs,
       opts.stages.empty() ? default_cascade() : opts.stages;
   // One index per call, built on the substrate actually routed — after
   // fault application, so a degraded channel gets its own fingerprint.
-  // It keys the checkpoints and the scratch arenas and serves the repair
-  // pre-stage's span lookups.
+  // It keys the checkpoints and the scratch arenas.
   const ChannelIndex index(*substrate);
   const RouteVerifier verifier(*substrate, cs);
 
@@ -242,22 +241,18 @@ RouteReport robust_route(const SegmentedChannel& ch, const ConnectionSet& cs,
       }
       for (std::size_t i = prefix; ok && i < n_new - suffix; ++i) {
         const auto id = static_cast<ConnId>(i);
-        std::optional<TrackId> best;
-        Column best_len = std::numeric_limits<Column>::max();
-        for (TrackId t = 0; t < index.num_tracks(); ++t) {
-          const auto [a, b] = index.span(t, cs[id].left, cs[id].right);
-          if (opts.max_segments > 0 && b - a + 1 > opts.max_segments) continue;
-          if (!occ.fits(t, cs[id].left, cs[id].right)) continue;
-          const Column len = index.occupied_length(t, cs[id].left, cs[id].right);
-          if (len < best_len) {
-            best_len = len;
-            best = t;
-          }
-        }
-        ok = best.has_value();
+        const Connection& c = cs[id];
+        // A span past the substrate abandons the repair; the cascade
+        // reports it as kInvalidInput.
+        const TrackId best =
+            c.right <= substrate->width()
+                ? best_fit_track(*substrate, occ, c.left, c.right,
+                                 opts.max_segments, FitScore::kOccupiedLength)
+                : kNoTrack;
+        ok = best != kNoTrack;
         if (ok) {
-          occ.place(*best, cs[id].left, cs[id].right, id);
-          candidate.assign(id, *best);
+          occ.place(best, c.left, c.right, id);
+          candidate.assign(id, best);
         }
       }
       if (ok) {

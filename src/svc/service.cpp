@@ -93,20 +93,6 @@ std::uint64_t fold_digest(std::uint64_t acc, const SvcResponse& r) {
     acc = fold_u64(acc, static_cast<std::uint64_t>(r.repair.failure));
     acc = fold_u64(acc, static_cast<std::uint64_t>(
                             static_cast<std::uint32_t>(r.repair.id)));
-    acc = fold_u64(
-        acc,
-        static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(r.repair.affected_lo)) |
-            (static_cast<std::uint64_t>(
-                 static_cast<std::uint32_t>(r.repair.affected_hi))
-             << 32));
-    acc = fold_u64(
-        acc,
-        static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(r.repair.reconsidered)) |
-            (static_cast<std::uint64_t>(
-                 static_cast<std::uint32_t>(r.repair.moved))
-             << 32));
   }
   return acc;
 }
@@ -309,13 +295,13 @@ void RoutingService::apply_edit(Job& job, std::uint64_t now) {
   resp.session = job.req.session;
   resp.enqueue_tick = job.enqueue_tick;
   resp.start_tick = resp.finish_tick = now;
-  alg::OnlineRouter* router = nullptr;
+  Session* session = nullptr;
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
     const auto it = sessions_.find(job.req.session);
-    if (it != sessions_.end()) router = it->second.router.get();
+    if (it != sessions_.end()) session = &it->second;
   }
-  if (router == nullptr) {
+  if (session == nullptr) {
     // The session was closed between admission and drain.
     resp.repair.failure = alg::FailureKind::kInvalidInput;
     resp.result.fail(alg::FailureKind::kInvalidInput,
@@ -325,8 +311,9 @@ void RoutingService::apply_edit(Job& job, std::uint64_t now) {
   } else {
     // The tenant's budget slice bounds the edit's DP fallback: a
     // pathological edit costs one bounded DP attempt, then rolls back.
-    resp.repair = router->apply(job.req.edit, effective_budget(job.req));
-    resp.fingerprint = router->index().fingerprint();
+    resp.repair =
+        session->router.apply(job.req.edit, effective_budget(job.req));
+    resp.fingerprint = session->fingerprint;
     if (resp.repair.success) {
       resp.result.success = true;
       resp.result.note =
@@ -359,13 +346,14 @@ std::uint64_t RoutingService::open_session(const std::string& tenant,
   // The dispatch lock pins the substrate while the session copies it (a
   // concurrent rebind() would race the read).
   std::lock_guard<std::mutex> dl(dispatch_mu_);
-  auto router = std::make_unique<alg::OnlineRouter>(
-      engine_.index().channel(), alg::OnlineRouter::Policy::BestFit,
-      max_segments);
+  Session session{tenant, engine_.index().fingerprint(),
+                  alg::OnlineRouter(engine_.index().channel(),
+                                    alg::OnlineRouter::Policy::BestFit,
+                                    max_segments)};
   std::lock_guard<std::mutex> lk(queue_mu_);
   if (stopping_) return 0;
   const std::uint64_t id = next_session_++;
-  sessions_.emplace(id, Session{tenant, std::move(router)});
+  sessions_.emplace(id, std::move(session));
   ++stats_.sessions_opened;
   return id;
 }
@@ -383,11 +371,11 @@ bool RoutingService::close_session(std::uint64_t session) {
 std::optional<std::pair<ConnectionSet, Routing>>
 RoutingService::session_snapshot(std::uint64_t session) {
   std::lock_guard<std::mutex> dl(dispatch_mu_);  // quiesce in-flight edits
-  alg::OnlineRouter* router = nullptr;
+  const alg::OnlineRouter* router = nullptr;
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
     const auto it = sessions_.find(session);
-    if (it != sessions_.end()) router = it->second.router.get();
+    if (it != sessions_.end()) router = &it->second.router;
   }
   if (router == nullptr) return std::nullopt;
   return router->snapshot();

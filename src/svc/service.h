@@ -66,7 +66,7 @@
 // only). A submission with `session` set is a delta edit: it rides the
 // same admission control (tenant caps, queue bounds, budget slices —
 // the slice bounds the DP fallback) and resolves to a SvcResponse
-// carrying the proof-carrying RepairOutcome. Edits are applied
+// carrying the RepairOutcome. Edits are applied
 // *serially in window order* after the two routing phases of each tick,
 // so session state is a pure function of the submission sequence and
 // the driver-mode digest stays bit-identical across thread counts.
@@ -89,7 +89,6 @@
 #include <deque>
 #include <future>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -236,8 +235,8 @@ struct SvcStats {
   std::uint64_t sessions_closed = 0;
   std::size_t sessions_open = 0;
   std::uint64_t session_edits = 0;         // edits applied (success)
-  std::uint64_t session_repairs = 0;       // ... via the localized repair
-  std::uint64_t session_dp_fallbacks = 0;  // ... via the full-DP fallback
+  std::uint64_t session_repairs = 0;       // ... in the greedy regime
+  std::uint64_t session_dp_fallbacks = 0;  // ... in the DP regime
   std::uint64_t session_edit_failures = 0; // rejected edits (state kept)
 };
 
@@ -324,11 +323,12 @@ class RoutingService {
     std::chrono::steady_clock::time_point t_enqueue;
   };
 
-  /// One open edit session. The OnlineRouter is pinned to its address
-  /// (its ChannelIndex borrows the owned channel), hence the unique_ptr.
+  /// One open edit session, with the fingerprint of the substrate it
+  /// copied at open time.
   struct Session {
     std::string tenant;
-    std::unique_ptr<alg::OnlineRouter> router;
+    std::uint64_t fingerprint = 0;
+    alg::OnlineRouter router;
   };
 
   [[nodiscard]] harness::Budget effective_budget(const SvcRequest& req) const;

@@ -1,22 +1,23 @@
 // The incremental-edit contract, end to end: randomized edit scripts
-// must keep an OnlineRouter session bit-identical to from_scratch()
-// after every apply(), with the localized repair (not the DP fallback)
-// carrying the bulk of the work; the engine's "delta" router must serve
-// the same reference under every thread count and cache mode; and
-// rebind_delta() must migrate exactly the memo entries the structural
-// diff proves unaffected.
+// must keep an OnlineRouter session bit-identical to canonical(S) after
+// every apply(), where canonical(S) comes from a test-local oracle
+// whose greedy shares no code with the session's from_scratch() path;
+// the engine's "online" router must serve the same routing under every
+// thread count and cache mode; and rebind_delta() must migrate exactly
+// the memo entries the structural diff proves unaffected.
 #include "alg/delta.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
+#include <limits>
 #include <optional>
 #include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "alg/dp.h"
 #include "alg/online.h"
 #include "alg/registry.h"
 #include "engine/batch.h"
@@ -24,6 +25,59 @@
 
 namespace segroute::alg {
 namespace {
+
+/// canonical(S) written out independently of from_scratch(): the
+/// best-fit greedy in id order (least occupied length, ties to the
+/// lowest track) over Track::span/occupied_length and a plain
+/// per-segment occupancy table, then dp_route when greedy strands one.
+struct Oracle {
+  bool routed = false;
+  bool dp = false;  // the DP regime produced `routing`
+  Routing routing;
+};
+
+Oracle oracle(const SegmentedChannel& ch, const ConnectionSet& cs,
+              int max_segments) {
+  Oracle o;
+  o.routing = Routing(cs.size());
+  std::vector<std::vector<bool>> used;
+  for (const Track& tr : ch.tracks()) {
+    used.emplace_back(static_cast<std::size_t>(tr.num_segments()), false);
+  }
+  for (ConnId i = 0; i < cs.size(); ++i) {
+    TrackId best = kNoTrack;
+    Column best_len = std::numeric_limits<Column>::max();
+    for (TrackId t = 0; t < ch.num_tracks(); ++t) {
+      const auto [a, b] = ch.track(t).span(cs[i].left, cs[i].right);
+      if (max_segments > 0 && b - a + 1 > max_segments) continue;
+      const auto& row = used[static_cast<std::size_t>(t)];
+      if (std::any_of(row.begin() + a, row.begin() + b + 1,
+                      [](bool u) { return u; })) {
+        continue;
+      }
+      const Column len = ch.track(t).occupied_length(cs[i].left, cs[i].right);
+      if (len < best_len) {
+        best_len = len;
+        best = t;
+      }
+    }
+    if (best == kNoTrack) {
+      DpOptions opts;
+      opts.max_segments = max_segments;
+      const RouteResult dp = dp_route(ch, cs, opts);
+      o.routed = dp.success;
+      o.dp = true;
+      o.routing = dp.routing;
+      return o;
+    }
+    const auto [a, b] = ch.track(best).span(cs[i].left, cs[i].right);
+    auto& row = used[static_cast<std::size_t>(best)];
+    std::fill(row.begin() + a, row.begin() + b + 1, true);
+    o.routing.assign(i, best);
+  }
+  o.routed = true;
+  return o;
+}
 
 struct Family {
   std::string name;
@@ -49,9 +103,9 @@ struct EditCounters {
 };
 
 /// Drives one seeded edit script against `session`, asserting after
-/// every apply() that the snapshot validates and equals canonical(S)
-/// from scratch (void so ASSERT_ can bail; callers read the final
-/// state through session.snapshot()).
+/// every apply() that the snapshot validates and equals the oracle's
+/// canonical(S), regime included (void so ASSERT_ can bail; callers
+/// read the final state through session.snapshot()).
 void run_script(OnlineRouter& session, std::mt19937_64& rng, int steps,
                 int max_segments, EditCounters& counts,
                 const std::string& tag) {
@@ -106,20 +160,23 @@ void run_script(OnlineRouter& session, std::mt19937_64& rng, int steps,
                          max_segments > 0 ? std::optional<int>(max_segments)
                                           : std::nullopt))
         << tag << " step " << step;
-    const CanonicalResult ref = from_scratch(
-        session.channel(), state.first, /*policy_best_fit=*/true,
-        max_segments);
-    ASSERT_TRUE(ref.result.success) << tag << " step " << step;
-    ASSERT_EQ(ref.result.routing, state.second)
+    const Oracle ref = oracle(session.channel(), state.first, max_segments);
+    ASSERT_TRUE(ref.routed) << tag << " step " << step;
+    ASSERT_EQ(ref.routing, state.second)
         << tag << " step " << step << " regime "
-        << (ref.regime == CanonicalRegime::kDp ? "dp" : "greedy");
+        << (ref.dp ? "dp" : "greedy");
+    if (out.success) {
+      EXPECT_EQ(out.path, ref.dp ? RepairOutcome::Path::kFullDp
+                                 : RepairOutcome::Path::kRepair)
+          << tag << " step " << step;
+    }
   }
 }
 
 // The headline gate: >= 200 randomized edit scripts (3 families x 70)
 // of 30 add/remove/move edits each, bit-identity checked after every
 // single apply(), with K-segment limits on a third of the scripts, and
-// the repair path carrying a majority of successful edits.
+// the greedy regime carrying a majority of successful edits.
 TEST(DeltaSuite, RandomizedEditScriptsStayCanonical) {
   std::mt19937_64 rng(1007);
   EditCounters counts;
@@ -137,15 +194,16 @@ TEST(DeltaSuite, RandomizedEditScriptsStayCanonical) {
   EXPECT_GE(scripts, 200);
   EXPECT_GT(counts.applied, 1000L);
   EXPECT_GT(counts.rejected, 0L);  // scripts do saturate channels
-  // The whole point of the delta API: localized repair, not the DP
-  // fallback, must carry the majority of successful edits.
+  // The greedy regime carries the majority of successful edits; the
+  // DP fallback must engage too.
   EXPECT_GT(counts.repairs, counts.dp_fallbacks)
       << "repairs=" << counts.repairs << " dp=" << counts.dp_fallbacks;
+  EXPECT_GT(counts.dp_fallbacks, 0L);
 }
 
-// The engine-served reference: final states of seeded scripts must be
-// reproduced by BatchRouter with router="delta" under every thread
-// count and cache mode (1/2/8 threads x cache on/off).
+// The engine-served session routing: final states of seeded scripts
+// must be reproduced by BatchRouter with router="online" under every
+// thread count and cache mode (1/2/8 threads x cache on/off).
 TEST(DeltaSuite, EngineDeltaRouterMatchesSessionsAcrossThreadsAndCache) {
   for (const Family& fam : families()) {
     std::mt19937_64 rng(2029);
@@ -167,7 +225,7 @@ TEST(DeltaSuite, EngineDeltaRouterMatchesSessionsAcrossThreadsAndCache) {
         bo.use_cache = cache;
         engine::BatchRouter engine(fam.ch, bo);
         engine::EngineRouteOptions ro;
-        ro.router = "delta";
+        ro.router = "online";
         const std::vector<RouteResult> results =
             engine.route_many(finals, ro);
         ASSERT_EQ(results.size(), finals.size());
@@ -196,31 +254,28 @@ TEST(DeltaSuite, DpFallbackEngagesAndRenormalizes) {
   const RepairOutcome x = session.apply(ChannelEdit::add(1, 4));  // t1
   ASSERT_TRUE(z.success && x.success);
   EXPECT_EQ(z.path, RepairOutcome::Path::kRepair);
-  EXPECT_TRUE(session.greedy_canonical());
+  EXPECT_EQ(x.path, RepairOutcome::Path::kRepair);
 
   // Greedy is now stuck for (5,9): both t0 segments held by z, t1 by x.
   const RepairOutcome y = session.apply(ChannelEdit::add(5, 9));
   ASSERT_TRUE(y.success);
   EXPECT_EQ(y.path, RepairOutcome::Path::kFullDp);
-  EXPECT_FALSE(session.greedy_canonical());
   {
     const auto [cs, routing] = session.snapshot();
-    const CanonicalResult ref = from_scratch(ch, cs, true, 0);
-    ASSERT_TRUE(ref.result.success);
-    EXPECT_EQ(ref.regime, CanonicalRegime::kDp);
-    EXPECT_EQ(ref.result.routing, routing);
+    const Oracle ref = oracle(ch, cs, 0);
+    ASSERT_TRUE(ref.routed);
+    EXPECT_TRUE(ref.dp);
+    EXPECT_EQ(ref.routing, routing);
   }
 
-  // Removing the hog makes greedy canonical again; apply() renormalizes
-  // over the full width and reports the repair path.
+  // Removing the hog makes greedy canonical again.
   const RepairOutcome rm = session.apply(ChannelEdit::remove(z.id));
   ASSERT_TRUE(rm.success);
   EXPECT_EQ(rm.path, RepairOutcome::Path::kRepair);
-  EXPECT_TRUE(session.greedy_canonical());
   const auto [cs, routing] = session.snapshot();
-  const CanonicalResult ref = from_scratch(ch, cs, true, 0);
-  EXPECT_EQ(ref.regime, CanonicalRegime::kGreedy);
-  EXPECT_EQ(ref.result.routing, routing);
+  const Oracle ref = oracle(ch, cs, 0);
+  EXPECT_FALSE(ref.dp);
+  EXPECT_EQ(ref.routing, routing);
 }
 
 // A rejected edit must roll the session back bit-identically and leave
@@ -235,7 +290,6 @@ TEST(DeltaSuite, InfeasibleEditRollsBackBitIdentically) {
   const RepairOutcome out = session.apply(ChannelEdit::add(3, 3));
   EXPECT_FALSE(out.success);
   EXPECT_EQ(out.failure, FailureKind::kInfeasible);
-  EXPECT_EQ(session.last_failure(), FailureKind::kInfeasible);
   EXPECT_EQ(out.id, kNoConn);
 
   const auto after = session.snapshot();
@@ -256,23 +310,32 @@ TEST(DeltaSuite, InfeasibleEditRollsBackBitIdentically) {
   EXPECT_EQ(ghost.failure, FailureKind::kInvalidInput);
 }
 
-// Move semantics: the affected window must cover the hull of the old
-// and new spans, and the receipt reports what was reconsidered.
-TEST(DeltaSuite, MoveReportsTheAffectedWindow) {
-  const SegmentedChannel ch = gen::uniform_segmentation(3, 24, 6);
+// A move keeps the id and name, takes the new span, and re-derives the
+// other connections: here it frees the snug segment another connection
+// had been pushed off.
+TEST(DeltaSuite, MoveRelocatesTheConnection) {
+  // t0: (1,12)(13,24); t1: (1,6)(7,12)(13,18)(19,24).
+  const SegmentedChannel ch({Track(24, {12}), Track(24, {6, 12, 18})});
   OnlineRouter session(ch);
-  const RepairOutcome a = session.apply(ChannelEdit::add(2, 5));
-  ASSERT_TRUE(a.success);
+  const RepairOutcome a = session.apply(ChannelEdit::add(2, 5, "a"));
+  const RepairOutcome b = session.apply(ChannelEdit::add(3, 4, "b"));
+  ASSERT_TRUE(a.success && b.success);
+  ASSERT_EQ(session.track_of(a.id), 1);  // (1,6) beats (1,12)
+  ASSERT_EQ(session.track_of(b.id), 0);  // (1,6) taken
+
   const RepairOutcome mv = session.apply(ChannelEdit::move(a.id, 19, 23));
   ASSERT_TRUE(mv.success);
   EXPECT_EQ(mv.id, a.id);
-  EXPECT_LE(mv.affected_lo, 2);
-  EXPECT_GE(mv.affected_hi, 23);
-  EXPECT_GE(mv.reconsidered, 1);
+  EXPECT_EQ(mv.path, RepairOutcome::Path::kRepair);
+  EXPECT_EQ(session.connection(a.id).name, "a");
+  EXPECT_EQ(session.connection(a.id).left, 19);
+  EXPECT_EQ(session.connection(a.id).right, 23);
+  EXPECT_EQ(session.track_of(a.id), 1);  // (19,24) beats (13,24)
+  EXPECT_EQ(session.track_of(b.id), 1);  // back on the freed (1,6)
   const auto [cs, routing] = session.snapshot();
-  ASSERT_EQ(cs.size(), 1);
+  ASSERT_EQ(cs.size(), 2);
   EXPECT_EQ(cs[0].left, 19);
-  EXPECT_EQ(from_scratch(ch, cs, true, 0).result.routing, routing);
+  EXPECT_EQ(oracle(ch, cs, 0).routing, routing);
 }
 
 // ---------------------------------------------------------------------
@@ -394,12 +457,14 @@ TEST(RebindDelta, IdenticalChannelIsANoOp) {
   EXPECT_EQ(engine.cache_stats().hits, before.hits + 1);
 }
 
-// The "delta" registry entry: exact + K-capable, policy-checked.
+// The "online" registry entry: exact + K-capable, policy-checked, and
+// the routing a session holds after adding the set in id order.
 TEST(DeltaSuite, RegistryEntryServesTheReference) {
-  const RouterEntry* e = find_router("delta");
+  const RouterEntry* e = find_router("online");
   ASSERT_NE(e, nullptr);
   EXPECT_TRUE(e->caps.exact);
   EXPECT_TRUE(e->caps.supports_k);
+  EXPECT_EQ(find_router("delta"), nullptr);
 
   const SegmentedChannel ch = gen::staggered_segmentation(3, 20, 5);
   ConnectionSet cs;
@@ -408,13 +473,18 @@ TEST(DeltaSuite, RegistryEntryServesTheReference) {
   RouteRequest rq;
   rq.channel = &ch;
   rq.connections = &cs;
-  const RouteResult rr = route("delta", rq);
+  const RouteResult rr = route("online", rq);
   ASSERT_TRUE(rr.success);
   EXPECT_EQ(rr.note, "regime=greedy");
-  EXPECT_EQ(rr.routing, from_scratch(ch, cs, true, 0).result.routing);
+  EXPECT_EQ(rr.routing, oracle(ch, cs, 0).routing);
+  OnlineRouter session(ch);
+  for (const Connection& c : cs.all()) {
+    ASSERT_TRUE(session.apply(ChannelEdit::add(c.left, c.right)).success);
+  }
+  EXPECT_EQ(rr.routing, session.snapshot().second);
 
   rq.options.params["policy"] = std::string("sideways");
-  const RouteResult bad = route("delta", rq);
+  const RouteResult bad = route("online", rq);
   EXPECT_FALSE(bad.success);
   EXPECT_EQ(bad.failure, FailureKind::kInvalidInput);
 }

@@ -167,7 +167,7 @@ TEST_P(RouterProperties, OnlineRouterMatchesItsSnapshotInvariant) {
   OnlineRouter router(ch);
   int placed = 0;
   for (const Connection& c : cs.all()) {
-    if (router.insert_with_ripup(c.left, c.right)) ++placed;
+    if (router.apply(ChannelEdit::add(c.left, c.right)).success) ++placed;
   }
   EXPECT_EQ(router.num_placed(), placed);
   const auto [scs, sr] = router.snapshot();

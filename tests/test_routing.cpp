@@ -138,5 +138,38 @@ TEST(Occupancy, PlaceIsAtomicOnConflict) {
   EXPECT_EQ(occ.occupant(0, 1), kNoConn);
 }
 
+// The one greedy pick: three scores over a hand-built channel, ties to
+// the lowest track, and the K-limit filtering tracks out before scoring.
+TEST(BestFitTrack, ScoresTiesAndKLimit) {
+  // The span [3,5] occupies, per track:
+  //   t0 (1,12)                 length 12, 1 segment
+  //   t1 (3,4)(5,6)             length 4,  2 segments
+  //   t2 (3,6), t3 (3,6)        length 4,  1 segment
+  const SegmentedChannel ch({Track(12, {}), Track(12, {2, 4, 6, 8}),
+                             Track(12, {2, 6}), Track(12, {2, 6})});
+  Occupancy occ(ch);
+  const auto pick = [&](int k, FitScore score) {
+    return best_fit_track(ch, occ, 3, 5, k, score);
+  };
+  EXPECT_EQ(pick(0, FitScore::kFirstFit), 0);
+  EXPECT_EQ(pick(0, FitScore::kOccupiedLength), 1);   // t1 ties t2, t3
+  EXPECT_EQ(pick(0, FitScore::kSegmentsSpanned), 0);  // t0 ties t2, t3
+  EXPECT_EQ(pick(1, FitScore::kOccupiedLength), 2);   // t1 needs 2 segments
+  EXPECT_EQ(pick(1, FitScore::kFirstFit), 0);
+
+  ASSERT_TRUE(occ.place(0, 10, 10, 0));  // fills t0's only segment
+  ASSERT_TRUE(occ.place(2, 4, 4, 1));    // fills t2's (3,6)
+  EXPECT_EQ(pick(0, FitScore::kFirstFit), 1);
+  EXPECT_EQ(pick(0, FitScore::kOccupiedLength), 1);   // t1 ties t3
+  EXPECT_EQ(pick(0, FitScore::kSegmentsSpanned), 3);
+  EXPECT_EQ(pick(1, FitScore::kOccupiedLength), 3);
+
+  ASSERT_TRUE(occ.place(3, 3, 3, 2));  // fills t3's (3,6)
+  EXPECT_EQ(pick(1, FitScore::kOccupiedLength), kNoTrack);
+  EXPECT_EQ(pick(2, FitScore::kSegmentsSpanned), 1);
+  ASSERT_TRUE(occ.place(1, 5, 5, 3));  // fills t1's (5,6)
+  EXPECT_EQ(pick(0, FitScore::kFirstFit), kNoTrack);
+}
+
 }  // namespace
 }  // namespace segroute

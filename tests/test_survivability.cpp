@@ -605,6 +605,17 @@ TEST(RobustCheckpoint, InfeasibleRepairFallsThroughToTheCascade) {
   EXPECT_NE(rep.winner, "repair");
   EXPECT_EQ(rep.failure, FailureKind::kInfeasible);
   EXPECT_FALSE(rep.stages.empty());  // the cascade actually ran
+
+  // An edited span past the channel abandons the repair too, and the
+  // cascade reports the malformed input.
+  ConnectionSet past;
+  past.add(1, 4);
+  past.add(9, 12);
+  past.add(2, 4);
+  const auto bad = robust_route(ch, past, o);
+  EXPECT_FALSE(bad.success);
+  EXPECT_NE(bad.winner, "repair");
+  EXPECT_EQ(bad.failure, FailureKind::kInvalidInput);
 }
 
 TEST(ChaosSoak, UnroutableBaselineFailsFastAndStructured) {
