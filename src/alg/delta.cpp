@@ -28,6 +28,13 @@ CanonicalResult from_scratch(const SegmentedChannel& ch,
                              int max_segments, const harness::Budget& budget) {
   CanonicalResult out;
   out.result.routing = Routing(cs.size());
+  // The registry's pre-check rule, applied before the greedy so both
+  // regimes reject the same K.
+  if (max_segments < 0) {
+    out.result.fail(FailureKind::kInvalidInput,
+                    "delta: negative max_segments");
+    return out;
+  }
 
   Occupancy occ(ch);
   const FitScore score =

@@ -115,9 +115,9 @@ enum class CanonicalRegime {
 /// greedy strands a connection. `policy_best_fit` selects the least
 /// occupied length pick (the session default); false = FirstFit.
 /// On success `regime` says which branch of canonical() produced
-/// `result.routing`. Failure kinds: kInvalidInput for malformed spans,
-/// kInfeasible when neither greedy nor DP routes S, kBudgetExhausted
-/// when the DP fallback ran out of `budget`.
+/// `result.routing`. Failure kinds: kInvalidInput for malformed spans
+/// or a negative `max_segments`, kInfeasible when neither greedy nor DP
+/// routes S, kBudgetExhausted when the DP fallback ran out of `budget`.
 struct CanonicalResult {
   RouteResult result;
   CanonicalRegime regime = CanonicalRegime::kGreedy;

@@ -56,7 +56,10 @@ RepairOutcome OnlineRouter::apply(const ChannelEdit& edit,
   const CanonicalResult canon = from_scratch(
       channel_, cs, policy_ == Policy::BestFit, max_segments_, budget);
   if (!canon.result.success) {
-    out.path = RepairOutcome::Path::kFullDp;
+    // kInvalidInput (a negative K) is refused before any routing runs.
+    out.path = canon.result.failure == FailureKind::kInvalidInput
+                   ? RepairOutcome::Path::kNone
+                   : RepairOutcome::Path::kFullDp;
     out.failure = canon.result.failure == FailureKind::kNone
                       ? FailureKind::kInternal
                       : canon.result.failure;

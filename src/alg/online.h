@@ -35,7 +35,8 @@ class OnlineRouter {
     BestFit,   // feasible track minimizing occupied segment length
   };
 
-  /// `max_segments` = 0 for unlimited, K > 0 for K-segment routing.
+  /// `max_segments` = 0 for unlimited, K > 0 for K-segment routing. A
+  /// negative K makes every apply() fail with kInvalidInput.
   explicit OnlineRouter(SegmentedChannel channel,
                         Policy policy = Policy::BestFit, int max_segments = 0);
 

@@ -5,8 +5,9 @@
 // The stateless routers read SegmentedChannel/Track directly; an index is
 // built only where it is kept and read:
 //
-//  - BatchRouter and CheckpointStore key their caches by fingerprint(),
-//    and robust_route keys its checkpoints and scratch arenas by it;
+//  - BatchRouter keys its memo cache by fingerprint(); robust_route
+//    builds one per call for the fingerprint alone, which keys its
+//    CheckpointStore entries and scratch arenas (it reads no table);
 //  - the fabric router reads the type classes and the O(1) segment
 //    lookups.
 //

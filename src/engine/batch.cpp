@@ -1,7 +1,6 @@
 #include "engine/batch.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "alg/registry.h"
 #include "core/router.h"
@@ -91,10 +90,15 @@ BatchRouter::BatchRouter(const SegmentedChannel& ch, BatchOptions opts)
 // hashes, mixed with the options and the channel fingerprint) so the
 // "connection multiset" lands in one bucket; equality still compares
 // the exact sequence, because a routing maps connection *ids* to
-// tracks and a permuted instance needs its own entry. A pure function
-// of the key fields: rebind_delta() recomputes it when it re-keys a
-// migrated entry to a new fingerprint.
-std::uint64_t BatchRouter::key_hash(const CacheKey& key) {
+// tracks and a permuted instance needs its own entry.
+BatchRouter::CacheKey BatchRouter::make_key(
+    const ConnectionSet& cs, const EngineRouteOptions& opts) const {
+  CacheKey key;
+  key.router = opts.router;
+  key.fingerprint = index_.fingerprint();
+  key.max_segments = opts.max_segments;
+  key.weight = opts.weight;
+  key.weight_tag = opts.custom_weight ? opts.weight_tag : 0;
   std::uint64_t h = key.fingerprint;
   h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.max_segments))
        * 1099511628211ull;
@@ -104,31 +108,17 @@ std::uint64_t BatchRouter::key_hash(const CacheKey& key) {
     h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
     h *= 1099511628211ull;
   }
-  for (const auto& [l, r] : key.conns) {
-    h += fnv_pair(l, r);
-  }
-  return h;
-}
-
-BatchRouter::CacheKey BatchRouter::make_key(
-    const ConnectionSet& cs, const EngineRouteOptions& opts) const {
-  CacheKey key;
-  key.router = opts.router;
-  key.fingerprint = index_.fingerprint();
-  key.max_segments = opts.max_segments;
-  key.weight = opts.weight;
-  key.weight_tag = opts.custom_weight ? opts.weight_tag : 0;
   key.conns.reserve(static_cast<std::size_t>(cs.size()));
   for (const Connection& c : cs.all()) {
     key.conns.emplace_back(c.left, c.right);
+    h += fnv_pair(c.left, c.right);
   }
-  key.hash = key_hash(key);
+  key.hash = h;
   return key;
 }
 
 alg::RouteResult BatchRouter::route_one(const ConnectionSet& cs,
-                                        const EngineRouteOptions& opts,
-                                        const harness::Budget& budget) {
+                                        const EngineRouteOptions& opts) {
   Scratch& scratch = thread_scratch();
   RouteRequest rq;
   rq.channel = ch_;
@@ -139,7 +129,7 @@ alg::RouteResult BatchRouter::route_one(const ConnectionSet& cs,
   rq.options.weight = opts.custom_weight
                           ? opts.custom_weight
                           : weight_fns_[static_cast<int>(opts.weight)];
-  rq.budget = budget;
+  rq.budget = opts.budget;
   alg::RouteResult res = alg::route(opts.router, rq);
   // The scratch arenas grow during the route; record the retained
   // high-water mark after the fact.
@@ -159,7 +149,7 @@ alg::RouteResult BatchRouter::route(const ConnectionSet& cs,
   // result, so serving it under a budget is exact); only pure results are
   // ever inserted below.
   if (!cache_on || (!pure && !opts.allow_cached_when_budgeted)) {
-    return route_one(cs, opts, opts.budget);
+    return route_one(cs, opts);
   }
   CacheKey key = make_key(cs, opts);
   Shard& shard = shard_of(key.hash);
@@ -176,7 +166,7 @@ alg::RouteResult BatchRouter::route(const ConnectionSet& cs,
     ++shard.misses;
   }
   SEGROUTE_COUNT("engine.cache.misses", 1);
-  alg::RouteResult res = route_one(cs, opts, opts.budget);
+  alg::RouteResult res = route_one(cs, opts);
   if (pure && cacheable(res)) {
     std::lock_guard<std::mutex> lock(shard.mu);
     // Another thread may have inserted the same key while we routed;
@@ -196,33 +186,15 @@ alg::RouteResult BatchRouter::route(const ConnectionSet& cs,
   return res;
 }
 
-// Per-instance budget: the caller's, tightened by an even slice of the
-// batch deadline when one is configured. Slices are a function of the
-// batch size only — not of the thread count — so results stay
-// thread-count invariant (up to wall-clock jitter inherent in any
-// deadline).
-EngineRouteOptions BatchRouter::sliced(const EngineRouteOptions& opts,
-                                       std::size_t batch_size) const {
-  EngineRouteOptions inst_opts = opts;
-  if (opts_.deadline && batch_size > 0) {
-    const auto slice = *opts_.deadline / static_cast<int>(batch_size);
-    inst_opts.budget.deadline =
-        inst_opts.budget.deadline ? std::min(*inst_opts.budget.deadline, slice)
-                                  : slice;
-  }
-  return inst_opts;
-}
-
 std::vector<alg::RouteResult> BatchRouter::route_many(
     const std::vector<ConnectionSet>& batch, const EngineRouteOptions& opts) {
   std::vector<alg::RouteResult> results(batch.size());
   if (batch.empty()) return results;
 
-  const EngineRouteOptions inst_opts = sliced(opts, batch.size());
   pool_.parallel_for(static_cast<std::int64_t>(batch.size()),
                      [&](std::int64_t i) {
                        results[static_cast<std::size_t>(i)] =
-                           route(batch[static_cast<std::size_t>(i)], inst_opts);
+                           route(batch[static_cast<std::size_t>(i)], opts);
                      });
   return results;
 }
@@ -240,16 +212,10 @@ std::vector<alg::RouteResult> BatchRouter::route_many(
     return results;
   }
 
-  std::vector<EngineRouteOptions> inst_opts;
-  inst_opts.reserve(opts.size());
-  for (const EngineRouteOptions& o : opts) {
-    inst_opts.push_back(sliced(o, batch.size()));
-  }
   pool_.parallel_for(static_cast<std::int64_t>(batch.size()),
                      [&](std::int64_t i) {
-                       results[static_cast<std::size_t>(i)] = route(
-                           batch[static_cast<std::size_t>(i)],
-                           inst_opts[static_cast<std::size_t>(i)]);
+                       const auto k = static_cast<std::size_t>(i);
+                       results[k] = route(batch[k], opts[k]);
                      });
   return results;
 }
@@ -258,116 +224,6 @@ void BatchRouter::rebind(const SegmentedChannel& ch) {
   ch_ = &ch;
   index_ = ChannelIndex(ch);
   SEGROUTE_INSTANT("engine.rebind", "fingerprint", index_.fingerprint());
-}
-
-RebindDelta BatchRouter::rebind_delta(const SegmentedChannel& ch) {
-  RebindDelta d;
-  d.old_fingerprint = index_.fingerprint();
-  const SegmentedChannel& old_ch = *ch_;
-  // Migration-comparable: same shape AND the same identical-segmentation
-  // type partition. The partition guard matters because a canonicalizing
-  // router (the DP's type dedup) can change tie-breaks *globally* when a
-  // class splits or merges, even for connections far from the edit; the
-  // dense first-occurrence type ids make vector equality mean partition
-  // equality.
-  const bool comparable = old_ch.num_tracks() == ch.num_tracks() &&
-                          old_ch.width() == ch.width() &&
-                          old_ch.type_of() == ch.type_of();
-  Column lo = std::numeric_limits<Column>::max();
-  Column hi = -1;
-  if (comparable) {
-    for (TrackId t = 0; t < ch.num_tracks(); ++t) {
-      const Track& ot = old_ch.track(t);
-      const Track& nt = ch.track(t);
-      const std::vector<Column> a = ot.switch_positions();
-      const std::vector<Column> b = nt.switch_positions();
-      // A switch at p separates columns p and p+1; a switch present in
-      // only one segmentation changes exactly the segments adjacent to
-      // it — widen the mask to their extents in BOTH segmentations.
-      const auto widen = [&](Column p) {
-        const auto [al, ar] = ot.align_to_segments(p, p + 1);
-        const auto [bl, br] = nt.align_to_segments(p, p + 1);
-        lo = std::min({lo, al, bl});
-        hi = std::max({hi, ar, br});
-      };
-      std::size_t i = 0;
-      std::size_t j = 0;
-      while (i < a.size() || j < b.size()) {
-        if (j == b.size() || (i < a.size() && a[i] < b[j])) {
-          widen(a[i++]);
-        } else if (i == a.size() || b[j] < a[i]) {
-          widen(b[j++]);
-        } else {
-          ++i;
-          ++j;
-        }
-      }
-    }
-  }
-  ch_ = &ch;
-  index_ = ChannelIndex(ch);
-  d.new_fingerprint = index_.fingerprint();
-  SEGROUTE_INSTANT("engine.rebind", "fingerprint", index_.fingerprint());
-  if (!comparable) {
-    d.structural = true;
-    return d;  // plain rebind() semantics: entries stay under the old fp
-  }
-  if (hi >= lo) {
-    d.affected_lo = lo;
-    d.affected_hi = hi;
-  }
-  if (d.old_fingerprint == d.new_fingerprint) return d;  // same substrate
-
-  // Pass 1: under each shard's lock, pull out the old substrate's
-  // entries — mask-disjoint ones migrate, the rest are invalidated.
-  // (Re-keying changes the hash, and the hash picks the shard, so
-  // migrated entries may move shards; like rebind(), callers quiesce
-  // routing first.)
-  std::vector<CacheEntry> moving;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto it = shard->entries.begin(); it != shard->entries.end();) {
-      if (it->key.fingerprint != d.old_fingerprint) {
-        ++it;
-        continue;
-      }
-      bool disjoint = true;
-      for (const auto& [l, r] : it->key.conns) {
-        if (l <= d.affected_hi && r >= d.affected_lo) {
-          disjoint = false;
-          break;
-        }
-      }
-      shard->by_key.erase(it->key);
-      if (disjoint) {
-        moving.push_back(std::move(*it));
-      } else {
-        ++shard->invalidations;
-        SEGROUTE_COUNT("engine.cache.invalidated", 1);
-        ++d.evicted;
-      }
-      it = shard->entries.erase(it);
-    }
-  }
-  // Pass 2: re-key and re-insert at MRU position in the (possibly
-  // different) shard the new hash selects.
-  for (CacheEntry& e : moving) {
-    e.key.fingerprint = d.new_fingerprint;
-    e.key.hash = key_hash(e.key);
-    Shard& shard = shard_of(e.key.hash);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.by_key.find(e.key) != shard.by_key.end()) continue;
-    shard.entries.push_front(std::move(e));
-    shard.by_key.emplace(shard.entries.front().key, shard.entries.begin());
-    ++d.migrated;
-    while (shard.entries.size() > shard.capacity) {
-      shard.by_key.erase(shard.entries.back().key);
-      shard.entries.pop_back();
-      ++shard.evictions;
-      SEGROUTE_COUNT("engine.cache.evictions", 1);
-    }
-  }
-  return d;
 }
 
 void BatchRouter::invalidate(std::uint64_t fingerprint) {

@@ -61,10 +61,11 @@
 // returning to a previously seen substrate re-hits its entries — that is
 // what makes recovery after a storm cheap. invalidate(fingerprint)
 // evicts exactly the entries of one substrate (fingerprint-delta-aware:
-// a storm only invalidates what it touched).
+// a storm only invalidates what it touched). Entries are never migrated
+// between substrates: an old substrate's entries stay under its
+// fingerprint until they are re-hit, evicted or invalidated.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -176,37 +177,6 @@ struct BatchOptions {
   /// from serializing on a single lock. See the file comment for the
   /// eviction-order caveat.
   int cache_shards = 16;
-
-  /// Optional total wall-clock allowance for each route_many() call,
-  /// divided evenly into per-instance deadline slices (instance budgets
-  /// stay independent of thread count, preserving determinism up to
-  /// deadline jitter). Unset = no batch-level deadline.
-  std::optional<std::chrono::milliseconds> deadline;
-};
-
-/// Receipt from BatchRouter::rebind_delta(): the structural diff between
-/// the old and new substrate and what happened to the old substrate's
-/// memo entries.
-struct RebindDelta {
-  std::uint64_t old_fingerprint = 0;
-  std::uint64_t new_fingerprint = 0;
-
-  /// True when the substrates are not migration-comparable — different
-  /// track count or width, or a changed identical-segmentation type
-  /// partition (which can shift a canonicalizing router's tie-breaks
-  /// even far from the edit). The rebind then behaved exactly like
-  /// rebind(): entries stay cached under their old fingerprint.
-  bool structural = false;
-
-  /// The affected-column mask: interval hull of every segment adjacent
-  /// to a changed switch, over the old AND new extents ([0, -1] = no
-  /// structural difference). Cached results whose connection spans are
-  /// disjoint from it are valid verbatim on the new substrate.
-  Column affected_lo = 0;
-  Column affected_hi = -1;
-
-  std::size_t migrated = 0;  // entries re-keyed to the new fingerprint
-  std::size_t evicted = 0;   // entries overlapping the mask, invalidated
 };
 
 class BatchRouter {
@@ -225,7 +195,8 @@ class BatchRouter {
                          const EngineRouteOptions& opts = {});
 
   /// Routes every instance, deterministically partitioned over the
-  /// worker pool. results[i] corresponds to batch[i] and is independent
+  /// worker pool, each under `opts` unchanged (budgets are per
+  /// instance). results[i] corresponds to batch[i] and is independent
   /// of the thread count.
   std::vector<alg::RouteResult> route_many(
       const std::vector<ConnectionSet>& batch,
@@ -245,21 +216,6 @@ class BatchRouter {
   /// substrate re-hits its entries. Not thread-safe against concurrent
   /// route()/route_many() calls — quiesce the engine first.
   void rebind(const SegmentedChannel& ch);
-
-  /// Delta-aware rebind: re-points the engine at `ch` like rebind(), but
-  /// instead of stranding the old substrate's memo entries under a dead
-  /// fingerprint, *migrates* the ones an edit provably did not touch.
-  /// The structural diff of the two channels yields an affected-column
-  /// mask (segments adjacent to changed switches, old and new extents);
-  /// when the substrates are migration-comparable (same track count,
-  /// width and type partition), entries whose connection spans are
-  /// disjoint from the mask are re-keyed to the new fingerprint — every
-  /// segment such a result can see is bit-identical in both channels,
-  /// so the cached answer is the new substrate's answer — and entries
-  /// overlapping the mask are evicted (counted as invalidations).
-  /// Incomparable substrates degrade to plain rebind() semantics.
-  /// Like rebind(): not thread-safe against concurrent routes.
-  RebindDelta rebind_delta(const SegmentedChannel& ch);
 
   /// Evicts exactly the cache entries computed on the substrate with this
   /// fingerprint, leaving every other substrate's entries hot.
@@ -331,17 +287,10 @@ class BatchRouter {
     return *shards_[z % shards_.size()];
   }
 
-  /// The cache hash as a pure function of the key fields — make_key()
-  /// and rebind_delta()'s re-keying must agree bit for bit.
-  static std::uint64_t key_hash(const CacheKey& key);
-
   CacheKey make_key(const ConnectionSet& cs,
                     const EngineRouteOptions& opts) const;
   alg::RouteResult route_one(const ConnectionSet& cs,
-                             const EngineRouteOptions& opts,
-                             const harness::Budget& budget);
-  EngineRouteOptions sliced(const EngineRouteOptions& opts,
-                            std::size_t batch_size) const;
+                             const EngineRouteOptions& opts);
 
   const SegmentedChannel* ch_;
   ChannelIndex index_;

@@ -1,6 +1,5 @@
 #include "harness/checkpoint.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/instrument.h"
@@ -11,8 +10,7 @@ CheckpointStore::CheckpointStore(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
 void CheckpointStore::save(std::uint64_t fingerprint, const Routing& routing,
-                           std::optional<double> weight, std::string source,
-                           std::vector<std::pair<Column, Column>> conns) {
+                           std::optional<double> weight, std::string source) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_fp_.find(fingerprint);
   if (it != by_fp_.end()) {
@@ -28,7 +26,6 @@ void CheckpointStore::save(std::uint64_t fingerprint, const Routing& routing,
     old.weight = weight.value_or(0.0);
     old.has_weight = weight.has_value();
     old.source = std::move(source);
-    old.conns = std::move(conns);
     old.sequence = next_sequence_++;
     ++stats_.saves;
     ++stats_.supersedes;
@@ -42,7 +39,6 @@ void CheckpointStore::save(std::uint64_t fingerprint, const Routing& routing,
   ckpt.weight = weight.value_or(0.0);
   ckpt.has_weight = weight.has_value();
   ckpt.source = std::move(source);
-  ckpt.conns = std::move(conns);
   ckpt.sequence = next_sequence_++;
   entries_.push_front(std::move(ckpt));
   by_fp_.emplace(fingerprint, entries_.begin());
@@ -112,21 +108,6 @@ CheckpointStats CheckpointStore::stats() const {
   s.size = entries_.size();
   s.capacity = capacity_;
   return s;
-}
-
-bool restore_occupancy(const RoutingCheckpoint& ckpt,
-                       const SegmentedChannel& ch, const ConnectionSet& cs,
-                       Occupancy& occ) {
-  occ.rebind(ch);
-  const ConnId n = std::min(ckpt.routing.size(), cs.size());
-  for (ConnId i = 0; i < n; ++i) {
-    if (!ckpt.routing.is_assigned(i)) continue;
-    const Connection& c = cs[i];
-    if (!occ.place(ckpt.routing.track_of(i), c.left, c.right, i)) {
-      return false;
-    }
-  }
-  return ckpt.routing.size() == cs.size();
 }
 
 }  // namespace segroute::harness

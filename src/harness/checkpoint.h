@@ -18,7 +18,10 @@
 //     through RouteVerifier against the caller's channel + connection
 //     set before handing it out, so a checkpoint that has gone stale
 //     (different workload, corrupted store, fingerprint collision) is
-//     rejected, counted, and dropped rather than re-introduced.
+//     rejected, counted, and dropped rather than re-introduced. A store
+//     keeps routings only, not the connection spans they were saved
+//     for: an edited workload whose old routing no longer verifies is
+//     simply a miss, and the caller routes it afresh.
 //
 // save() keeps the better of the existing and the incoming state for a
 // fingerprint: lower weight when both carry one, the newcomer otherwise
@@ -35,8 +38,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "core/channel.h"
 #include "core/connection.h"
@@ -54,13 +55,6 @@ struct RoutingCheckpoint {
   bool has_weight = false;
   std::string source;       // who saved it (router / winner name)
   std::uint64_t sequence = 0;  // per-store save order (monotonic)
-
-  /// Spans of the connection set `routing` was verified for, in id
-  /// order (empty when the saver did not record them). What lets a
-  /// later call with an *edited* connection set align itself against
-  /// the checkpoint and repair just the difference instead of
-  /// discovering the mismatch through a failed re-verification.
-  std::vector<std::pair<Column, Column>> conns;
 };
 
 /// Store observability counters (a snapshot).
@@ -84,13 +78,9 @@ class CheckpointStore {
 
   /// Saves `routing` for `fingerprint`, keeping the better of old and
   /// new: lower weight when both carry one, the newcomer otherwise.
-  /// `conns`, when given, records the routed connection spans in id
-  /// order so a later caller can align an edited set against the
-  /// checkpoint (the robust_route repair pre-stage).
   void save(std::uint64_t fingerprint, const Routing& routing,
             std::optional<double> weight = std::nullopt,
-            std::string source = {},
-            std::vector<std::pair<Column, Column>> conns = {});
+            std::string source = {});
 
   /// The checkpoint for `fingerprint` (a copy), without verification.
   [[nodiscard]] std::optional<RoutingCheckpoint> find(
@@ -122,13 +112,5 @@ class CheckpointStore {
   std::uint64_t next_sequence_ = 0;
   mutable CheckpointStats stats_;
 };
-
-/// Rebuilds `occ` to reflect `ckpt.routing` on `ch`: rebinds, then places
-/// every assigned connection. Returns false (leaving `occ` in a partially
-/// rebuilt state) if any placement conflicts — which a verified
-/// checkpoint never does.
-bool restore_occupancy(const RoutingCheckpoint& ckpt,
-                       const SegmentedChannel& ch, const ConnectionSet& cs,
-                       Occupancy& occ);
 
 }  // namespace segroute::harness

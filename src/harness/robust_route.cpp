@@ -160,129 +160,24 @@ RouteReport robust_route(const SegmentedChannel& ch, const ConnectionSet& cs,
 
   // Checkpoint fast-path: a verified routing saved earlier for this very
   // substrate answers a feasibility call without running any stage. The
-  // restore re-verifies, so a stale or corrupt checkpoint falls through
-  // to the cascade instead of being served. When the checkpoint recorded
-  // its connection spans and the caller's set differs — an *edit* of the
-  // checkpointed workload — a repair pre-stage aligns the two sequences,
-  // keeps every common connection on its checkpointed track, best-fit
-  // places only the edited middle, and verifies the result (winner
-  // "repair") before any cascade stage runs.
+  // restore re-verifies, so a stale or corrupt checkpoint (an edited
+  // workload among them) is dropped and the cascade runs instead.
   if (opts.checkpoints && !opts.weight) {
-    const auto ckpt = opts.checkpoints->find(index.fingerprint());
-    const auto spans_match = [&] {
-      if (ckpt->conns.size() != static_cast<std::size_t>(cs.size())) {
-        return false;
-      }
-      for (ConnId i = 0; i < cs.size(); ++i) {
-        const auto& [l, r] = ckpt->conns[static_cast<std::size_t>(i)];
-        if (l != cs[i].left || r != cs[i].right) return false;
-      }
-      return true;
-    };
-    if (ckpt && (ckpt->conns.empty() || spans_match())) {
-      // Exact (or legacy, span-less) checkpoint: re-verify through
-      // restore(), which also drops a stale entry so it cannot be
-      // served again.
-      VerifyOptions vo;
-      vo.max_segments = opts.max_segments;
-      if (auto verified = opts.checkpoints->restore(index.fingerprint(),
-                                                    *substrate, cs, vo)) {
-        report.success = true;
-        report.winner = "checkpoint";
-        report.routing = map_back(verified->routing);
-        report.note =
-            "restored checkpoint (saved by " +
-            (verified->source.empty() ? std::string("?") : verified->source) +
-            ")";
-        report.elapsed_ms = ms_since(t0);
-        SEGROUTE_COUNT("recover.checkpoint_hits", 1);
-        SEGROUTE_SPAN_TAG(route_span, "outcome", "checkpoint");
-        return report;
-      }
-    } else if (ckpt) {
-      // Align: longest common prefix and suffix of the span sequences;
-      // the middle is what the edit changed.
-      const auto& old_spans = ckpt->conns;
-      const std::size_t n_old = old_spans.size();
-      const std::size_t n_new = static_cast<std::size_t>(cs.size());
-      std::size_t prefix = 0;
-      while (prefix < n_old && prefix < n_new &&
-             old_spans[prefix].first == cs[static_cast<ConnId>(prefix)].left &&
-             old_spans[prefix].second ==
-                 cs[static_cast<ConnId>(prefix)].right) {
-        ++prefix;
-      }
-      std::size_t suffix = 0;
-      while (suffix < n_old - prefix && suffix < n_new - prefix &&
-             old_spans[n_old - 1 - suffix].first ==
-                 cs[static_cast<ConnId>(n_new - 1 - suffix)].left &&
-             old_spans[n_old - 1 - suffix].second ==
-                 cs[static_cast<ConnId>(n_new - 1 - suffix)].right) {
-        ++suffix;
-      }
-      // Keep the aligned connections on their checkpointed tracks; place
-      // the edited middle best-fit into what remains. Any conflict or
-      // unplaceable connection abandons the repair (the cascade runs).
-      Occupancy occ(*substrate);
-      Routing candidate(cs.size());
-      bool ok = ckpt->routing.size() == static_cast<ConnId>(n_old);
-      for (std::size_t i = 0; ok && i < prefix; ++i) {
-        const auto id = static_cast<ConnId>(i);
-        const TrackId t = ckpt->routing.track_of(id);
-        ok = t != kNoTrack && occ.place(t, cs[id].left, cs[id].right, id);
-        if (ok) candidate.assign(id, t);
-      }
-      for (std::size_t j = 0; ok && j < suffix; ++j) {
-        const auto id = static_cast<ConnId>(n_new - 1 - j);
-        const TrackId t =
-            ckpt->routing.track_of(static_cast<ConnId>(n_old - 1 - j));
-        ok = t != kNoTrack && occ.place(t, cs[id].left, cs[id].right, id);
-        if (ok) candidate.assign(id, t);
-      }
-      for (std::size_t i = prefix; ok && i < n_new - suffix; ++i) {
-        const auto id = static_cast<ConnId>(i);
-        const Connection& c = cs[id];
-        // A span past the substrate abandons the repair; the cascade
-        // reports it as kInvalidInput.
-        const TrackId best =
-            c.right <= substrate->width()
-                ? best_fit_track(*substrate, occ, c.left, c.right,
-                                 opts.max_segments, FitScore::kOccupiedLength)
-                : kNoTrack;
-        ok = best != kNoTrack;
-        if (ok) {
-          occ.place(best, c.left, c.right, id);
-          candidate.assign(id, best);
-        }
-      }
-      if (ok) {
-        VerifyOptions vo;
-        vo.max_segments = opts.max_segments;
-        if (verifier.check(candidate, vo)) {
-          report.success = true;
-          report.winner = "repair";
-          report.routing = map_back(candidate);
-          report.note = "repaired from checkpoint (saved by " +
-                        (ckpt->source.empty() ? std::string("?")
-                                              : ckpt->source) +
-                        "): kept " + std::to_string(prefix + suffix) +
-                        ", re-placed " +
-                        std::to_string(n_new - prefix - suffix);
-          // Save the repaired state so the *edited* workload is the new
-          // checkpoint for this substrate.
-          std::vector<std::pair<Column, Column>> spans;
-          spans.reserve(n_new);
-          for (ConnId i = 0; i < cs.size(); ++i) {
-            spans.emplace_back(cs[i].left, cs[i].right);
-          }
-          opts.checkpoints->save(index.fingerprint(), candidate, std::nullopt,
-                                 "repair", std::move(spans));
-          report.elapsed_ms = ms_since(t0);
-          SEGROUTE_COUNT("recover.repair_hits", 1);
-          SEGROUTE_SPAN_TAG(route_span, "outcome", "repair");
-          return report;
-        }
-      }
+    VerifyOptions vo;
+    vo.max_segments = opts.max_segments;
+    if (auto verified = opts.checkpoints->restore(index.fingerprint(),
+                                                  *substrate, cs, vo)) {
+      report.success = true;
+      report.winner = "checkpoint";
+      report.routing = map_back(verified->routing);
+      report.note =
+          "restored checkpoint (saved by " +
+          (verified->source.empty() ? std::string("?") : verified->source) +
+          ")";
+      report.elapsed_ms = ms_since(t0);
+      SEGROUTE_COUNT("recover.checkpoint_hits", 1);
+      SEGROUTE_SPAN_TAG(route_span, "outcome", "checkpoint");
+      return report;
     }
   }
 
@@ -496,15 +391,10 @@ RouteReport robust_route(const SegmentedChannel& ch, const ConnectionSet& cs,
     // exactly what a later call on the same (possibly degraded) channel
     // needs back.
     if (opts.checkpoints) {
-      std::vector<std::pair<Column, Column>> spans;
-      spans.reserve(static_cast<std::size_t>(cs.size()));
-      for (ConnId i = 0; i < cs.size(); ++i) {
-        spans.emplace_back(cs[i].left, cs[i].right);
-      }
       opts.checkpoints->save(
           index.fingerprint(), best_routing,
           opts.weight ? std::optional<double>(best_weight) : std::nullopt,
-          best_name, std::move(spans));
+          best_name);
     }
     report.routing = map_back(best_routing);
     report.note = std::string("routed by stage ") + best_name;

@@ -66,7 +66,9 @@
 // routing is saved under the *substrate* fingerprint (post-degradation),
 // and a feasibility-mode call first tries to restore a checkpoint for
 // its substrate — re-verified before use — skipping the cascade
-// entirely on a hit (winner "checkpoint").
+// entirely on a hit (winner "checkpoint"). A checkpoint that fails
+// re-verification (an edited workload its old routing does not route,
+// or a stale store) is dropped and the cascade runs as if it were a miss.
 #pragma once
 
 #include <chrono>

@@ -120,15 +120,10 @@ RoutingService::~RoutingService() { stop(StopMode::kDrain); }
 
 harness::Budget RoutingService::effective_budget(const SvcRequest& req) const {
   harness::Budget b = req.options.budget;
-  std::uint64_t slice = opts_.slice_ticks;
   const auto it = opts_.tenant_slice_ticks.find(req.tenant);
-  if (it != opts_.tenant_slice_ticks.end()) slice = it->second;
-  if (slice > 0) {
+  if (it != opts_.tenant_slice_ticks.end() && it->second > 0) {
+    const std::uint64_t slice = it->second;
     b.max_ticks = b.max_ticks == 0 ? slice : std::min(b.max_ticks, slice);
-  }
-  if (opts_.slice_ms) {
-    b.deadline = b.deadline ? std::min(*b.deadline, *opts_.slice_ms)
-                            : *opts_.slice_ms;
   }
   return b;
 }
@@ -250,7 +245,7 @@ void RoutingService::route_window(std::vector<Job>& window, std::uint64_t now) {
     }
     opts[i] = window[i].req.options;
     opts[i].budget = effective_budget(window[i].req);
-    opts[i].allow_cached_when_budgeted = opts_.serve_cached_under_budget;
+    opts[i].allow_cached_when_budgeted = true;
     (opts[i].budget.unlimited() ? pure_ix : budgeted_ix).push_back(i);
   }
   const auto run_phase = [&](const std::vector<std::size_t>& ix) {
@@ -342,7 +337,7 @@ void RoutingService::apply_edit(Job& job, std::uint64_t now) {
 
 std::uint64_t RoutingService::open_session(const std::string& tenant,
                                            int max_segments) {
-  if (tenant.empty()) return 0;
+  if (tenant.empty() || max_segments < 0) return 0;
   // The dispatch lock pins the substrate while the session copies it (a
   // concurrent rebind() would race the read).
   std::lock_guard<std::mutex> dl(dispatch_mu_);

@@ -21,12 +21,11 @@
 //
 // Per-tenant slicing. Each accepted request is routed under an
 // effective harness::Budget: the request's own budget, tightened by the
-// tenant's tick slice (SvcOptions::slice_ticks, overridable per tenant)
-// and, in live mode, by SvcOptions::slice_ms. One tenant's NP-hard
-// instances therefore cost bounded work per request and cannot starve
-// another tenant's sub-microsecond cache hits. With
-// SvcOptions::serve_cached_under_budget (default on), a budgeted
-// request may still be *served from* the shared memo cache — a cached
+// tenant's tick slice (SvcOptions::tenant_slice_ticks). One tenant's
+// NP-hard instances therefore cost bounded work per request and cannot
+// starve another tenant's sub-microsecond cache hits. A budgeted
+// request may still be *served from* the shared memo cache (the service
+// always sets EngineRouteOptions::allow_cached_when_budgeted) — a cached
 // entry is a pure result computed under no budget, so serving it is
 // strictly better than re-deriving a kBudgetExhausted.
 //
@@ -139,21 +138,10 @@ struct SvcOptions {
   /// Requests drained and routed per tick. Must be >= 1 (clamped).
   std::size_t drain_window = 64;
 
-  /// Default per-request tick-budget slice (harness::Budget::max_ticks)
-  /// applied to every tenant without an override; 0 = unlimited. The
-  /// deterministic slicing knob: tick caps are wall-clock-free.
-  std::uint64_t slice_ticks = 0;
-
-  /// Per-tenant overrides of slice_ticks.
+  /// Per-tenant tick-budget slices (harness::Budget::max_ticks); a
+  /// tenant without an entry is unsliced. Tick caps are wall-clock-free,
+  /// so slicing keeps driver mode deterministic.
   std::map<std::string, std::uint64_t> tenant_slice_ticks;
-
-  /// Optional per-request wall-clock slice for live mode. Leave unset in
-  /// driver mode — deadlines reintroduce the clock into outcomes.
-  std::optional<std::chrono::milliseconds> slice_ms;
-
-  /// Serve budgeted requests from the shared memo cache (see the file
-  /// comment); sets EngineRouteOptions::allow_cached_when_budgeted.
-  bool serve_cached_under_budget = true;
 
   /// Configuration of the shared BatchRouter. engine.threads is forced
   /// to 1 — the service's own pool parallelizes across requests, so the
@@ -287,8 +275,9 @@ class RoutingService {
   /// Opens an edit session for `tenant` on the *current* substrate (a
   /// session pins its channel; later rebind()s affect batch requests
   /// only). Returns the session id to pass in SvcRequest::session, or 0
-  /// when rejected (empty tenant, or the service is stopping).
-  /// `max_segments` is the session's K-segment limit (0 = unlimited).
+  /// when rejected (empty tenant, negative `max_segments`, or the
+  /// service is stopping). `max_segments` is the session's K-segment
+  /// limit (0 = unlimited).
   std::uint64_t open_session(const std::string& tenant, int max_segments = 0);
 
   /// Closes a session, quiescing routing first so no in-flight edit

@@ -2,9 +2,8 @@
 // must keep an OnlineRouter session bit-identical to canonical(S) after
 // every apply(), where canonical(S) comes from a test-local oracle
 // whose greedy shares no code with the session's from_scratch() path;
-// the engine's "online" router must serve the same routing under every
-// thread count and cache mode; and rebind_delta() must migrate exactly
-// the memo entries the structural diff proves unaffected.
+// and the engine's "online" router must serve the same routing under
+// every thread count and cache mode.
 #include "alg/delta.h"
 
 #include <gtest/gtest.h>
@@ -336,125 +335,6 @@ TEST(DeltaSuite, MoveRelocatesTheConnection) {
   ASSERT_EQ(cs.size(), 2);
   EXPECT_EQ(cs[0].left, 19);
   EXPECT_EQ(oracle(ch, cs, 0).routing, routing);
-}
-
-// ---------------------------------------------------------------------
-// rebind_delta: fingerprint-delta-aware cache migration.
-
-engine::EngineRouteOptions dp_opts() {
-  engine::EngineRouteOptions ro;
-  ro.router = "dp";
-  return ro;
-}
-
-// Staggered tracks have pairwise-distinct segmentations, so resegmenting
-// one track preserves the type partition: the substrates are
-// migration-comparable, entries whose conns avoid the resegmented
-// columns migrate, and entries overlapping them are evicted.
-TEST(RebindDelta, MigratesDisjointEntriesAndEvictsOverlapping) {
-  const SegmentedChannel ch = gen::staggered_segmentation(4, 24, 6);
-  std::vector<Track> tracks = ch.tracks();
-  std::vector<Column> sw = tracks.back().switch_positions();
-  Column extra = 21;  // a fresh switch position near the right edge
-  while (std::find(sw.begin(), sw.end(), extra) != sw.end()) --extra;
-  sw.push_back(extra);
-  std::sort(sw.begin(), sw.end());
-  tracks.back() = Track(24, sw);
-  const SegmentedChannel ch2(tracks);
-
-  engine::BatchRouter engine(ch);
-  ConnectionSet far;  // columns 1..6: disjoint from the edit near 21
-  far.add(1, 3);
-  far.add(4, 6);
-  ConnectionSet near;  // straddles the new switch
-  near.add(19, 23);
-  ASSERT_TRUE(engine.route(far, dp_opts()).success);
-  ASSERT_TRUE(engine.route(near, dp_opts()).success);
-
-  const engine::RebindDelta d = engine.rebind_delta(ch2);
-  EXPECT_FALSE(d.structural);
-  EXPECT_NE(d.old_fingerprint, d.new_fingerprint);
-  EXPECT_EQ(d.new_fingerprint, engine.index().fingerprint());
-  EXPECT_LE(d.affected_lo, extra);
-  EXPECT_GE(d.affected_hi, extra);
-  EXPECT_EQ(d.migrated, 1u);
-  EXPECT_EQ(d.evicted, 1u);
-
-  // The migrated entry serves a hit under the NEW fingerprint, and the
-  // served routing is bit-identical to a cold engine's on ch2.
-  const engine::CacheStats before = engine.cache_stats();
-  const RouteResult warm = engine.route(far, dp_opts());
-  const engine::CacheStats after = engine.cache_stats();
-  ASSERT_TRUE(warm.success);
-  EXPECT_EQ(after.hits, before.hits + 1);
-  engine::BatchRouter cold(ch2);
-  const RouteResult fresh = cold.route(far, dp_opts());
-  ASSERT_TRUE(fresh.success);
-  EXPECT_EQ(warm.routing, fresh.routing);
-
-  // The overlapping entry was evicted: routing `near` misses.
-  const engine::CacheStats b2 = engine.cache_stats();
-  ASSERT_TRUE(engine.route(near, dp_opts()).success);
-  EXPECT_EQ(engine.cache_stats().misses, b2.misses + 1);
-}
-
-// Resegmenting a uniform track splits its type class, which can change
-// the DP's canonicalized tie-breaks globally — the substrates are NOT
-// migration-comparable and rebind_delta must fall back to structural
-// (nothing migrates; old-fingerprint entries become unreachable, as in
-// plain rebind()).
-TEST(RebindDelta, TypePartitionChangeFallsBackToStructural) {
-  const SegmentedChannel ch = gen::uniform_segmentation(4, 24, 6);
-  std::vector<Track> tracks = ch.tracks();
-  std::vector<Column> sw = tracks.back().switch_positions();
-  sw.push_back(21);  // uniform grid is 6/12/18 — 21 is fresh
-  std::sort(sw.begin(), sw.end());
-  tracks.back() = Track(24, sw);
-  const SegmentedChannel ch2(tracks);
-
-  engine::BatchRouter engine(ch);
-  ConnectionSet far;
-  far.add(1, 3);
-  ASSERT_TRUE(engine.route(far, dp_opts()).success);
-  const engine::RebindDelta d = engine.rebind_delta(ch2);
-  EXPECT_TRUE(d.structural);
-  EXPECT_EQ(d.migrated, 0u);
-  EXPECT_EQ(d.evicted, 0u);
-  EXPECT_EQ(engine.index().fingerprint(), d.new_fingerprint);
-}
-
-// Losing a track is a structural change regardless of spans.
-TEST(RebindDelta, TrackCountChangeIsStructural) {
-  const SegmentedChannel ch = gen::staggered_segmentation(4, 24, 6);
-  std::vector<Track> tracks = ch.tracks();
-  tracks.pop_back();
-  const SegmentedChannel ch2(tracks);
-  engine::BatchRouter engine(ch);
-  ConnectionSet cs;
-  cs.add(1, 3);
-  ASSERT_TRUE(engine.route(cs, dp_opts()).success);
-  const engine::RebindDelta d = engine.rebind_delta(ch2);
-  EXPECT_TRUE(d.structural);
-  EXPECT_EQ(d.migrated, 0u);
-}
-
-// Rebinding to an identical channel is a no-op delta: same fingerprint,
-// nothing migrated or evicted, and cached entries still hit.
-TEST(RebindDelta, IdenticalChannelIsANoOp) {
-  const SegmentedChannel ch = gen::staggered_segmentation(4, 24, 6);
-  const SegmentedChannel twin = gen::staggered_segmentation(4, 24, 6);
-  engine::BatchRouter engine(ch);
-  ConnectionSet cs;
-  cs.add(1, 3);
-  ASSERT_TRUE(engine.route(cs, dp_opts()).success);
-  const engine::RebindDelta d = engine.rebind_delta(twin);
-  EXPECT_FALSE(d.structural);
-  EXPECT_EQ(d.old_fingerprint, d.new_fingerprint);
-  EXPECT_EQ(d.migrated, 0u);
-  EXPECT_EQ(d.evicted, 0u);
-  const engine::CacheStats before = engine.cache_stats();
-  ASSERT_TRUE(engine.route(cs, dp_opts()).success);
-  EXPECT_EQ(engine.cache_stats().hits, before.hits + 1);
 }
 
 // The "online" registry entry: exact + K-capable, policy-checked, and

@@ -113,6 +113,14 @@ TEST(OnlineRouter, InsertRejectsBadSpans) {
     EXPECT_EQ(out.failure, FailureKind::kInvalidInput);
     EXPECT_EQ(out.path, RepairOutcome::Path::kNone);
   }
+  // A negative K is refused up front, in the greedy regime too (an empty
+  // session's first add never needs the DP).
+  OnlineRouter neg(small_channel(), OnlineRouter::Policy::BestFit, -1);
+  const RepairOutcome nk = neg.apply(ChannelEdit::add(1, 3));
+  EXPECT_FALSE(nk.success);
+  EXPECT_EQ(nk.failure, FailureKind::kInvalidInput);
+  EXPECT_EQ(nk.path, RepairOutcome::Path::kNone);
+  EXPECT_EQ(neg.num_placed(), 0);
   const ConnId a = add(r, 1, 3);
   ASSERT_NE(a, kNoConn);
   const RepairOutcome mv = r.apply(ChannelEdit::move(a, 5, 10));

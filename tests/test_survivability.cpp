@@ -140,30 +140,6 @@ TEST(Checkpoint, LruEvictsTheColdestFingerprint) {
   EXPECT_EQ(store.stats().evictions, 1u);
 }
 
-TEST(Checkpoint, RestoreOccupancyRebuildsPlacementExactly) {
-  Fixture f;
-  const ChannelIndex idx(f.ch);
-  const auto r = alg::dp_route_unlimited(f.ch, f.cs);
-  ASSERT_TRUE(r.success);
-  RoutingCheckpoint ckpt;
-  ckpt.fingerprint = idx.fingerprint();
-  ckpt.routing = r.routing;
-
-  Occupancy occ(f.ch);
-  ASSERT_TRUE(restore_occupancy(ckpt, f.ch, f.cs, occ));
-  for (ConnId i = 0; i < f.cs.size(); ++i) {
-    const Connection& c = f.cs[i];
-    const TrackId t = r.routing.track_of(i);
-    // The occupied segments carry exactly this connection id.
-    const auto span = f.ch.track(t).span(c.left, c.right);
-    for (SegId s = span.first; s <= span.second; ++s) {
-      EXPECT_EQ(occ.occupant(t, s), i);
-    }
-    // And a conflicting re-place is refused.
-    EXPECT_FALSE(occ.place(t, c.left, c.right, i + 100));
-  }
-}
-
 // ------------------------------------------------------------- partial_route
 
 TEST(PartialRoute, CompleteWhenTheInstanceIsRoutable) {
@@ -516,106 +492,64 @@ TEST(ChaosSoak, EditStreamInterleavesDeterministically) {
   }
 }
 
-// --------------------------------------------- checkpoint repair pre-stage
+// ------------------------------------------------- edited checkpoints
 
-TEST(RobustCheckpoint, RepairsAnEditedWorkloadFromTheCheckpoint) {
-  Fixture f;
-  CheckpointStore store;
-  RobustOptions o;
-  o.checkpoints = &store;
-  const auto first = robust_route(f.ch, f.cs, o);
-  ASSERT_TRUE(first.success);
-
-  // Edit the middle connection: prefix (1,4) and suffix (2,6) align,
-  // only the changed span is re-placed.
-  ConnectionSet edited;
-  edited.add(1, 4);
-  edited.add(9, 12);  // was (8,12)
-  edited.add(2, 6);
-  const auto rep = robust_route(f.ch, edited, o);
-  ASSERT_TRUE(rep.success);
-  EXPECT_EQ(rep.winner, "repair");
-  EXPECT_TRUE(rep.stages.empty());  // no cascade stage ran
-  EXPECT_NE(rep.note.find("repaired from checkpoint"), std::string::npos);
-  EXPECT_NE(rep.note.find("kept 2"), std::string::npos);
-  EXPECT_NE(rep.note.find("re-placed 1"), std::string::npos);
-  EXPECT_TRUE(validate(f.ch, edited, rep.routing));
-  // Kept connections stayed on their checkpointed tracks.
-  EXPECT_EQ(rep.routing.track_of(0), first.routing.track_of(0));
-  EXPECT_EQ(rep.routing.track_of(2), first.routing.track_of(2));
-
-  // The repaired state superseded the checkpoint: repeating the edited
-  // workload is now an exact checkpoint hit.
-  const auto again = robust_route(f.ch, edited, o);
-  ASSERT_TRUE(again.success);
-  EXPECT_EQ(again.winner, "checkpoint");
-  EXPECT_TRUE(again.routing == rep.routing);
-}
-
-TEST(RobustCheckpoint, RepairHandlesGrowthAndShrinkage) {
-  Fixture f;
-  CheckpointStore store;
-  RobustOptions o;
-  o.checkpoints = &store;
-  ASSERT_TRUE(robust_route(f.ch, f.cs, o).success);
-
-  // Append one connection (pure growth: the whole old set is a prefix).
-  ConnectionSet grown = f.cs;
-  grown.add(7, 9);
-  const auto add = robust_route(f.ch, grown, o);
-  ASSERT_TRUE(add.success);
-  EXPECT_EQ(add.winner, "repair");
-  EXPECT_TRUE(validate(f.ch, grown, add.routing));
-
-  // Drop the middle connection (shrinkage aligns prefix + suffix).
-  ConnectionSet shrunk;
-  shrunk.add(1, 4);
-  shrunk.add(2, 6);
-  store.clear();
-  ASSERT_TRUE(robust_route(f.ch, f.cs, o).success);
-  const auto rm = robust_route(f.ch, shrunk, o);
-  ASSERT_TRUE(rm.success);
-  EXPECT_EQ(rm.winner, "repair");
-  EXPECT_NE(rm.note.find("re-placed 0"), std::string::npos);
-  EXPECT_TRUE(validate(f.ch, shrunk, rm.routing));
-}
-
-TEST(RobustCheckpoint, InfeasibleRepairFallsThroughToTheCascade) {
-  // Two tracks, one switch: the checkpointed pair occupies segment
-  // (1,5) on BOTH tracks, so the inserted middle connection cannot be
-  // repair-placed — and the edited instance is genuinely unroutable
-  // (three mutually overlapping connections, two tracks). The failed
-  // repair must fall through to the cascade, whose exact stage proves
-  // infeasibility instead of serving a broken repair.
-  const SegmentedChannel ch = SegmentedChannel::identical(2, 10, {5});
+TEST(RobustCheckpoint, EditedWorkloadRunsTheCascade) {
+  // Under K = 1 the routing is forced: (1,10) only fits the unsegmented
+  // track 0, so (2,4) takes track 1's segment (1,5).
+  const SegmentedChannel ch({Track(10, {}), Track(10, {5})});
   ConnectionSet cs;
-  cs.add(1, 4);
+  cs.add(1, 10);
   cs.add(2, 4);
   CheckpointStore store;
   RobustOptions o;
+  o.max_segments = 1;
   o.checkpoints = &store;
   ASSERT_TRUE(robust_route(ch, cs, o).success);
+  ASSERT_EQ(store.stats().saves, 1u);
 
+  // The edit swaps the two spans. The checkpointed routing would put
+  // (1,10) on track 1 across two segments, so re-verification rejects
+  // it and the cascade routes the edited set.
   ConnectionSet edited;
-  edited.add(1, 4);
-  edited.add(3, 5);  // the insertion: prefix (1,4), suffix (2,4) align
   edited.add(2, 4);
+  edited.add(1, 10);
   const auto rep = robust_route(ch, edited, o);
-  EXPECT_FALSE(rep.success);
-  EXPECT_NE(rep.winner, "repair");
-  EXPECT_EQ(rep.failure, FailureKind::kInfeasible);
+  ASSERT_TRUE(rep.success) << rep.note;
+  EXPECT_EQ(rep.winner, "dp");
   EXPECT_FALSE(rep.stages.empty());  // the cascade actually ran
+  EXPECT_EQ(store.stats().rejected, 1u);
+  EXPECT_EQ(store.stats().saves, 2u);  // the cascade's result was saved
+  EXPECT_TRUE(validate(ch, edited, rep.routing, 1));
 
-  // An edited span past the channel abandons the repair too, and the
-  // cascade reports the malformed input.
+  // The edited workload is now the substrate's checkpoint.
+  const auto again = robust_route(ch, edited, o);
+  ASSERT_TRUE(again.success);
+  EXPECT_EQ(again.winner, "checkpoint");
+  EXPECT_TRUE(again.stages.empty());
+  EXPECT_TRUE(again.routing == rep.routing);
+
+  // A grown set fails re-verification on size alone.
+  ConnectionSet grown = edited;
+  grown.add(6, 9);
+  const auto add = robust_route(ch, grown, o);
+  ASSERT_TRUE(add.success) << add.note;
+  EXPECT_EQ(add.winner, "dp");
+  EXPECT_EQ(store.stats().rejected, 2u);
+  EXPECT_TRUE(validate(ch, grown, add.routing, 1));
+
+  // A span past the channel, at the checkpoint's size so the verifier
+  // reaches the spans: rejected without a throw, and the cascade reports
+  // the malformed input.
   ConnectionSet past;
-  past.add(1, 4);
-  past.add(9, 12);
   past.add(2, 4);
-  const auto bad = robust_route(ch, past, o);
+  past.add(1, 10);
+  past.add(6, 12);
+  RouteReport bad;
+  EXPECT_NO_THROW(bad = robust_route(ch, past, o));
   EXPECT_FALSE(bad.success);
-  EXPECT_NE(bad.winner, "repair");
   EXPECT_EQ(bad.failure, FailureKind::kInvalidInput);
+  EXPECT_EQ(store.stats().rejected, 3u);
 }
 
 TEST(ChaosSoak, UnroutableBaselineFailsFastAndStructured) {
