@@ -30,8 +30,10 @@
 //   - digests bit-identical across 1/2/8 threads (always);
 //   - open-model accounting exact: served + rejected == submitted
 //     (always);
-//   - under --check: closed/open throughput >= baseline/5, p99 <= 5x
-//     baseline, saturation >= baseline/5, tenant fairness >= 0.5.
+//   - under --check: the driver-mode digest equals the committed
+//     baseline's "digest/driver" row exactly (a change that shifts every
+//     thread count alike still fails); closed/open throughput >=
+//     baseline/5, p99 <= 5x baseline, tenant fairness >= 0.5.
 //
 // Flags: --json PATH, --check PATH, --quick, --trace PATH,
 //        --metrics PATH.
@@ -406,7 +408,11 @@ int main(int argc, char** argv) {
                 ? static_cast<double>(open.rejected) /
                       static_cast<double>(open.submitted)
                 : 0.0)
-     << "}\n  ],\n";
+     << "},\n";
+  // The digest rides in a row so Baseline::field can scan it; split in
+  // two because JSON numbers lose integers past 2^53.
+  js << "    {\"key\": \"digest/driver\", \"digest_hi\": " << (d1 >> 32)
+     << ", \"digest_lo\": " << (d1 & 0xffffffffull) << "}\n  ],\n";
   js << "  \"hardware_threads\": " << util::hardware_threads() << ",\n";
   js << "  \"digest\": \"0x" << dhex.str() << "\",\n";
   js << "  \"identical\": " << (identical ? "true" : "false") << ",\n";
@@ -432,6 +438,15 @@ int main(int argc, char** argv) {
     bench::Baseline base{std::string(std::istreambuf_iterator<char>(in),
                                      std::istreambuf_iterator<char>())};
     std::cout << "\nbaseline check vs " << check_path << "\n";
+    const auto bhi = base.field("digest/driver", "digest_hi");
+    const auto blo = base.field("digest/driver", "digest_lo");
+    if (!bhi || !blo || static_cast<std::uint64_t>(*bhi) != (d1 >> 32) ||
+        static_cast<std::uint64_t>(*blo) != (d1 & 0xffffffffull)) {
+      std::cout << "  FAIL: driver-mode digest 0x" << dhex.str()
+                << " differs from the committed baseline's digest/driver "
+                   "row\n";
+      ++failures;
+    }
     const auto gate_row = [&](const std::string& key, double rps, double p99) {
       const auto brps = base.field(key, "rps");
       if (brps && *brps > 0 && rps < *brps / 5.0) {

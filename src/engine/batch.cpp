@@ -137,37 +137,52 @@ alg::RouteResult BatchRouter::route_one(const ConnectionSet& cs,
   return res;
 }
 
+bool BatchRouter::cache_readable(const EngineRouteOptions& opts) const {
+  const bool taggable = !opts.custom_weight || opts.weight_tag != 0;
+  // Budgeted calls may opt into cache *reads* (a cached entry is a pure
+  // result, so serving it under a budget is exact); only pure results are
+  // ever inserted by route().
+  return opts_.use_cache && taggable && opts_.cache_capacity != 0 &&
+         (opts.budget.unlimited() || opts.allow_cached_when_budgeted);
+}
+
+std::optional<alg::RouteResult> BatchRouter::lookup(Shard& shard,
+                                                    const CacheKey& key,
+                                                    bool count_miss) {
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.by_key.find(key);
+  if (it == shard.by_key.end()) {
+    if (count_miss) ++shard.misses;
+    return std::nullopt;
+  }
+  ++shard.hits;
+  shard.entries.splice(shard.entries.begin(), shard.entries,
+                       it->second);  // touch
+  SEGROUTE_COUNT("engine.cache.hits", 1);
+  return it->second->result;
+}
+
+std::optional<alg::RouteResult> BatchRouter::cached(
+    const ConnectionSet& cs, const EngineRouteOptions& opts) {
+  if (!cache_readable(opts)) return std::nullopt;
+  const CacheKey key = make_key(cs, opts);
+  return lookup(shard_of(key.hash), key, /*count_miss=*/false);
+}
+
 alg::RouteResult BatchRouter::route(const ConnectionSet& cs,
                                     const EngineRouteOptions& opts) {
   SEGROUTE_SPAN(route_span, "engine.route", "fingerprint",
                 index_.fingerprint());
-  const bool pure = opts.budget.unlimited();
-  const bool taggable = !opts.custom_weight || opts.weight_tag != 0;
-  const bool cache_on =
-      opts_.use_cache && taggable && opts_.cache_capacity != 0;
-  // Budgeted calls may opt into cache *reads* (a cached entry is a pure
-  // result, so serving it under a budget is exact); only pure results are
-  // ever inserted below.
-  if (!cache_on || (!pure && !opts.allow_cached_when_budgeted)) {
-    return route_one(cs, opts);
-  }
+  if (!cache_readable(opts)) return route_one(cs, opts);
   CacheKey key = make_key(cs, opts);
   Shard& shard = shard_of(key.hash);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.by_key.find(key);
-    if (it != shard.by_key.end()) {
-      ++shard.hits;
-      shard.entries.splice(shard.entries.begin(), shard.entries,
-                           it->second);  // touch
-      SEGROUTE_COUNT("engine.cache.hits", 1);
-      return it->second->result;
-    }
-    ++shard.misses;
+  if (std::optional<alg::RouteResult> hit =
+          lookup(shard, key, /*count_miss=*/true)) {
+    return std::move(*hit);
   }
   SEGROUTE_COUNT("engine.cache.misses", 1);
   alg::RouteResult res = route_one(cs, opts);
-  if (pure && cacheable(res)) {
+  if (opts.budget.unlimited() && cacheable(res)) {
     std::lock_guard<std::mutex> lock(shard.mu);
     // Another thread may have inserted the same key while we routed;
     // both computed identical results, so keeping the existing entry is

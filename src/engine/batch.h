@@ -194,6 +194,16 @@ class BatchRouter {
   alg::RouteResult route(const ConnectionSet& cs,
                          const EngineRouteOptions& opts = {});
 
+  /// Read-only cache probe: the result route() would serve from the memo
+  /// cache for (cs, opts), or nullopt when route() would have to route.
+  /// Same key and eligibility rules as route() (including
+  /// allow_cached_when_budgeted). A hit counts as a hit and refreshes
+  /// the entry's LRU position; a miss counts nothing and inserts
+  /// nothing, so a caller that falls back to route() on a miss leaves
+  /// the hit and miss totals exactly as route() alone would.
+  std::optional<alg::RouteResult> cached(const ConnectionSet& cs,
+                                         const EngineRouteOptions& opts = {});
+
   /// Routes every instance, deterministically partitioned over the
   /// worker pool, each under `opts` unchanged (budgets are per
   /// instance). results[i] corresponds to batch[i] and is independent
@@ -287,8 +297,14 @@ class BatchRouter {
     return *shards_[z % shards_.size()];
   }
 
+  /// Whether route() may read the memo cache for `opts`.
+  [[nodiscard]] bool cache_readable(const EngineRouteOptions& opts) const;
   CacheKey make_key(const ConnectionSet& cs,
                     const EngineRouteOptions& opts) const;
+  /// The cached result for `key`, touched and counted as a hit; on a
+  /// miss, counts a miss only when `count_miss`.
+  std::optional<alg::RouteResult> lookup(Shard& shard, const CacheKey& key,
+                                         bool count_miss);
   alg::RouteResult route_one(const ConnectionSet& cs,
                              const EngineRouteOptions& opts);
 

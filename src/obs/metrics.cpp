@@ -83,6 +83,11 @@ struct Registry::Impl {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms;
+
+  // Held while collectors run, so remove_collector() waits out a run.
+  std::mutex collect_mu;
+  std::map<std::uint64_t, std::function<void()>> collectors;
+  std::uint64_t next_collector = 1;
 };
 
 Registry& Registry::instance() {
@@ -132,8 +137,26 @@ Histogram& Registry::histogram(std::string_view name,
   return *it->second;
 }
 
+std::uint64_t Registry::add_collector(std::function<void()> fn) {
+  Impl& im = impl();
+  std::lock_guard<std::mutex> lock(im.collect_mu);
+  const std::uint64_t id = im.next_collector++;
+  im.collectors.emplace(id, std::move(fn));
+  return id;
+}
+
+void Registry::remove_collector(std::uint64_t id) {
+  Impl& im = impl();
+  std::lock_guard<std::mutex> lock(im.collect_mu);
+  im.collectors.erase(id);
+}
+
 MetricsSnapshot Registry::snapshot() const {
   Impl& im = impl();
+  {
+    std::lock_guard<std::mutex> lock(im.collect_mu);
+    for (const auto& [id, fn] : im.collectors) fn();
+  }
   std::lock_guard<std::mutex> lock(im.mu);
   MetricsSnapshot out;
   for (const auto& [name, c] : im.counters) {

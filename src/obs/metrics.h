@@ -22,10 +22,17 @@
 // labels) and `json_text()` (exact names, non-cumulative buckets) —
 // both deterministic orderings for golden-file diffs. `reset()` zeroes
 // every value but keeps registrations, for tests and benches.
+//
+// Collectors: state that already lives elsewhere (a service's queue
+// depth, a cache's per-shard counters) is not pushed into gauges on
+// every update. Its owner registers a collector with `add_collector()`,
+// and every snapshot — so every exposition — runs the collectors first,
+// computing those gauges at scrape time.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -173,6 +180,18 @@ class Registry {
   /// `bounds` must be ascending; ignored (the original bounds win) when
   /// the histogram already exists.
   Histogram& histogram(std::string_view name, std::vector<double> bounds);
+
+  /// Registers `fn` to run at the start of every snapshot() (and so of
+  /// prometheus_text() and json_text()), before the registry lock is
+  /// taken, so it may register and set metrics. Collectors run one
+  /// scrape at a time, in registration order. Returns the id for
+  /// remove_collector().
+  std::uint64_t add_collector(std::function<void()> fn);
+
+  /// Unregisters a collector. Waits for a run of it in progress to end,
+  /// so once this returns, what the collector captured may be destroyed.
+  /// A collector must not call remove_collector() or snapshot() itself.
+  void remove_collector(std::uint64_t id);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 

@@ -29,9 +29,11 @@ std::uint64_t str_digest(const std::string& s) {
   return h;
 }
 
-double ms_since(Clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+double ms_between(Clock::time_point t0, Clock::time_point t1) {
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
+
+double ms_since(Clock::time_point t0) { return ms_between(t0, Clock::now()); }
 
 /// Latency histogram bounds (ms): sub-ms cache hits through multi-second
 /// stragglers.
@@ -114,9 +116,15 @@ RoutingService::RoutingService(const SegmentedChannel& ch, SvcOptions opts)
       queue_ms_h_(obs::Registry::instance().histogram("svc.queue_ms",
                                                       latency_bounds())),
       service_ms_h_(obs::Registry::instance().histogram("svc.service_ms",
-                                                        latency_bounds())) {}
+                                                        latency_bounds())) {
+  collector_id_ =
+      obs::Registry::instance().add_collector([this] { publish_metrics(); });
+}
 
-RoutingService::~RoutingService() { stop(StopMode::kDrain); }
+RoutingService::~RoutingService() {
+  stop(StopMode::kDrain);
+  obs::Registry::instance().remove_collector(collector_id_);
+}
 
 harness::Budget RoutingService::effective_budget(const SvcRequest& req) const {
   harness::Budget b = req.options.budget;
@@ -128,16 +136,60 @@ harness::Budget RoutingService::effective_budget(const SvcRequest& req) const {
   return b;
 }
 
+engine::EngineRouteOptions RoutingService::route_options(
+    const SvcRequest& req) const {
+  engine::EngineRouteOptions o = req.options;
+  o.budget = effective_budget(req);
+  o.allow_cached_when_budgeted = true;
+  return o;
+}
+
+SvcResponse RoutingService::routed(const Job& job, std::uint64_t now,
+                                   alg::RouteResult result,
+                                   std::uint64_t fingerprint, bool cache_hit,
+                                   Clock::time_point t0,
+                                   Clock::time_point t1) {
+  SvcResponse resp;
+  resp.id = job.id;
+  resp.tenant = job.req.tenant;
+  resp.admit = Admit::kAccepted;
+  resp.result = std::move(result);
+  resp.fingerprint = fingerprint;
+  resp.cache_hit = cache_hit;
+  resp.enqueue_tick = job.enqueue_tick;
+  resp.start_tick = resp.finish_tick = now;
+  resp.queue_ms = ms_between(job.t_enqueue, t0);
+  resp.service_ms = ms_between(t0, t1);
+  return resp;
+}
+
 std::future<SvcResponse> RoutingService::submit(SvcRequest req) {
   Job job;
   job.req = std::move(req);
+  job.t_enqueue = Clock::now();
   std::future<SvcResponse> fut = job.prom.get_future();
+  // Live mode answers a warm cache hit here, on the caller's thread. The
+  // probe runs under the dispatch lock, which excludes rebind(); when a
+  // tick, an edit or a rebind holds it, the request queues instead, so
+  // submit() never waits.
+  std::optional<alg::RouteResult> hit;
+  std::uint64_t hit_fingerprint = 0;
+  Clock::time_point t_hit;
+  if (live_.load(std::memory_order_relaxed) && job.req.session == 0 &&
+      !job.req.tenant.empty()) {
+    std::unique_lock<std::mutex> dl(dispatch_mu_, std::try_to_lock);
+    if (dl.owns_lock()) {
+      hit = engine_.cached(job.req.connections, route_options(job.req));
+      hit_fingerprint = engine_.index().fingerprint();
+      t_hit = Clock::now();
+    }
+  }
   Admit admit = Admit::kAccepted;
+  obs::Counter* tenant_c = nullptr;
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
     job.id = next_id_++;
     job.enqueue_tick = tick_.load(std::memory_order_relaxed);
-    job.t_enqueue = Clock::now();
     ++stats_.submitted;
     const std::size_t cap = opts_.max_inflight_per_tenant;
     bool session_ok = true;
@@ -158,6 +210,12 @@ std::future<SvcResponse> RoutingService::submit(SvcRequest req) {
     } else if (cap > 0 && inflight_[job.req.tenant] >= cap) {
       admit = Admit::kTenantLimit;
       ++stats_.rejected_tenant_limit;
+    } else if (hit) {
+      // Answered at admission: served now, never in flight.
+      ++stats_.accepted;
+      ++stats_.served;
+      ++stats_.admission_hits;
+      tenant_c = &tenant_counter(job.req.tenant);
     } else {
       ++stats_.accepted;
       ++inflight_[job.req.tenant];
@@ -167,6 +225,12 @@ std::future<SvcResponse> RoutingService::submit(SvcRequest req) {
   }
   if (admit == Admit::kAccepted) {
     accepted_c_.inc();
+    if (hit) {
+      resolve(job,
+              routed(job, job.enqueue_tick, std::move(*hit), hit_fingerprint,
+                     /*cache_hit=*/true, job.t_enqueue, t_hit),
+              *tenant_c);
+    }
     return fut;
   }
   rejected_c_.inc();
@@ -193,9 +257,6 @@ obs::Counter& RoutingService::tenant_counter(const std::string& tenant) {
 }
 
 void RoutingService::finish_job(Job& job, SvcResponse resp) {
-  queue_ms_h_.observe(resp.queue_ms);
-  service_ms_h_.observe(resp.service_ms);
-  served_c_.inc();
   obs::Counter* tenant_c;
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
@@ -204,7 +265,15 @@ void RoutingService::finish_job(Job& job, SvcResponse resp) {
     if (it != inflight_.end() && it->second > 0) --it->second;
     tenant_c = &tenant_counter(job.req.tenant);
   }
-  tenant_c->inc();
+  resolve(job, std::move(resp), *tenant_c);
+}
+
+void RoutingService::resolve(Job& job, SvcResponse resp,
+                             obs::Counter& tenant_c) {
+  queue_ms_h_.observe(resp.queue_ms);
+  service_ms_h_.observe(resp.service_ms);
+  served_c_.inc();
+  tenant_c.inc();
   job.prom.set_value(std::move(resp));
 }
 
@@ -243,32 +312,37 @@ void RoutingService::route_window(std::vector<Job>& window, std::uint64_t now) {
       edit_ix.push_back(i);  // session edits run in the serial phase
       continue;
     }
-    opts[i] = window[i].req.options;
-    opts[i].budget = effective_budget(window[i].req);
-    opts[i].allow_cached_when_budgeted = true;
+    opts[i] = route_options(window[i].req);
     (opts[i].budget.unlimited() ? pure_ix : budgeted_ix).push_back(i);
   }
+  const std::uint64_t fp = engine_.index().fingerprint();
+  const auto answer = [&](std::size_t i, Clock::time_point t0,
+                          alg::RouteResult result, bool cache_hit) {
+    finish_job(window[i], routed(window[i], now, std::move(result), fp,
+                                 cache_hit, t0, Clock::now()));
+  };
+  // Each phase answers its cache hits inline on this thread and forks the
+  // pool only over the misses. The probe counts hits only, so a miss is
+  // counted once, by route().
+  std::vector<std::size_t> misses;
   const auto run_phase = [&](const std::vector<std::size_t>& ix) {
-    if (ix.empty()) return;
+    misses.clear();
+    for (const std::size_t i : ix) {
+      const auto t0 = Clock::now();
+      if (std::optional<alg::RouteResult> hit =
+              engine_.cached(window[i].req.connections, opts[i])) {
+        answer(i, t0, std::move(*hit), /*cache_hit=*/true);
+      } else {
+        misses.push_back(i);
+      }
+    }
+    if (misses.empty()) return;
     pool_.parallel_for(
-        static_cast<std::int64_t>(ix.size()), [&](std::int64_t k) {
-          Job& job = window[ix[static_cast<std::size_t>(k)]];
-          const engine::EngineRouteOptions& o =
-              opts[ix[static_cast<std::size_t>(k)]];
+        static_cast<std::int64_t>(misses.size()), [&](std::int64_t k) {
+          const std::size_t i = misses[static_cast<std::size_t>(k)];
           const auto t0 = Clock::now();
-          SvcResponse resp;
-          resp.id = job.id;
-          resp.tenant = job.req.tenant;
-          resp.admit = Admit::kAccepted;
-          resp.enqueue_tick = job.enqueue_tick;
-          resp.start_tick = resp.finish_tick = now;
-          resp.result = engine_.route(job.req.connections, o);
-          resp.fingerprint = engine_.index().fingerprint();
-          resp.queue_ms =
-              std::chrono::duration<double, std::milli>(t0 - job.t_enqueue)
-                  .count();
-          resp.service_ms = ms_since(t0);
-          finish_job(job, std::move(resp));
+          answer(i, t0, engine_.route(window[i].req.connections, opts[i]),
+                 /*cache_hit=*/false);
         });
   };
   run_phase(pure_ix);
@@ -329,8 +403,7 @@ void RoutingService::apply_edit(Job& job, std::uint64_t now) {
       }
     }
   }
-  resp.queue_ms =
-      std::chrono::duration<double, std::milli>(t0 - job.t_enqueue).count();
+  resp.queue_ms = ms_between(job.t_enqueue, t0);
   resp.service_ms = ms_since(t0);
   finish_job(job, std::move(resp));
 }
@@ -393,7 +466,6 @@ std::size_t RoutingService::tick() {
   }
   ticks_c_.inc();
   if (!window.empty()) route_window(window, now);
-  publish_metrics();
   return window.size();
 }
 
@@ -401,6 +473,7 @@ void RoutingService::start() {
   std::lock_guard<std::mutex> lk(queue_mu_);
   if (started_ || stopping_) return;
   started_ = true;
+  live_.store(true, std::memory_order_relaxed);
   dispatcher_ = std::thread([this] {
     std::unique_lock<std::mutex> lk(queue_mu_);
     while (true) {
@@ -476,6 +549,8 @@ void RoutingService::publish_metrics() {
   }
   queue_depth_g_.set(static_cast<double>(depth));
   obs::Registry& reg = obs::Registry::instance();
+  reg.gauge("svc.admission_hits")
+      .set(static_cast<double>(snap.admission_hits));
   reg.gauge("svc.sessions.open")
       .set(static_cast<double>(snap.sessions_open));
   reg.gauge("svc.sessions.opened")

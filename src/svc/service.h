@@ -10,6 +10,8 @@
 //
 //   submit()  --> bounded FIFO request queue --> tick() drains a window
 //                 (admission control)            and routes it on the pool
+//       |
+//       +-- live mode, warm cache hit: answered inside submit()
 //
 // Admission control. submit() never blocks and never drops silently:
 // a request is either accepted into the bounded queue or rejected
@@ -39,7 +41,17 @@
 //     pin this at 1/2/8 threads, including under TSan).
 //   - Live mode: start() spawns one dispatcher thread that calls tick()
 //     whenever the queue is non-empty; stop() drains (no request is
-//     dropped without a typed response) or rejects the backlog.
+//     dropped without a typed response) or rejects the backlog. A batch
+//     request whose answer is already in the memo cache resolves inside
+//     submit(), on the caller's thread: it passes the same admission
+//     checks, is counted accepted and served (never in flight), observes
+//     a 0 ms queue wait, and carries the current tick in all three tick
+//     fields. The probe (BatchRouter::cached) runs under a try-lock of
+//     the dispatch lock, so it never races rebind(); when a tick, an
+//     edit or a rebind holds that lock the request simply queues.
+//     Misses, session edits and every driver-mode request take the
+//     queue. In a tick, each phase answers its own cache hits inline on
+//     the dispatching thread and forks the pool only over the misses.
 //
 // Determinism argument for driver mode. The queue is FIFO and submit()
 // is called from the driving thread, so the drain order is fixed. Each
@@ -72,12 +84,16 @@
 // Session fields fold into response digests only for session responses,
 // leaving pure-batch digests (the committed bench baselines) unchanged.
 //
-// Metrics. The service publishes its own state — queue depth, accepted/
-// rejected/served counts, per-tenant served counters, latency
-// histograms, and the engine's per-shard cache health — directly into
-// the obs registry each tick. These are product surface (the /metrics
-// endpoint in svc/http.h serves them), not instrumentation, so they are
-// published even in SEGROUTE_OBS=OFF builds; only the library-internal
+// Metrics. Events are counted as they happen: accepted/rejected/served
+// counters, per-tenant served counters and the queue/service latency
+// histograms. State — queue depth, the SvcStats and session counts, the
+// engine's total and per-shard cache health — is computed at scrape
+// time: the constructor registers publish_metrics() as an obs registry
+// collector, which every snapshot and exposition runs first, and the
+// destructor removes it (after stop(), whose final publish leaves the
+// service's last state in the registry). These are product surface (the
+// /metrics endpoint in svc/http.h serves them), not instrumentation, so
+// they exist even in SEGROUTE_OBS=OFF builds; only the library-internal
 // macro-based instrumentation compiles out.
 #pragma once
 
@@ -185,6 +201,10 @@ struct SvcResponse {
   std::uint64_t session = 0;
   alg::RepairOutcome repair;
 
+  /// Set when BatchRouter::cached() answered the request, at admission or
+  /// in a tick (not folded into the digest).
+  bool cache_hit = false;
+
   std::uint64_t enqueue_tick = 0;
   std::uint64_t start_tick = 0;   // tick that drained the request
   std::uint64_t finish_tick = 0;  // == start_tick (windows complete in-tick)
@@ -215,6 +235,7 @@ struct SvcStats {
   std::uint64_t rejected_shutdown = 0;
   std::uint64_t rejected_invalid = 0;
   std::uint64_t served = 0;
+  std::uint64_t admission_hits = 0;  // served from the cache in submit()
   std::uint64_t ticks = 0;
   std::size_t queue_depth = 0;
 
@@ -299,8 +320,10 @@ class RoutingService {
     return tick_.load(std::memory_order_relaxed);
   }
 
-  /// Publishes queue/served/cache-shard state into the obs registry
-  /// (also done automatically at every tick).
+  /// Sets the service's state gauges in the obs registry: queue depth,
+  /// admission hits, session counts, and the engine's total and per-shard
+  /// cache stats. The registry runs it as a collector at every scrape,
+  /// and stop() runs it once more; call it directly to time it.
   void publish_metrics();
 
  private:
@@ -321,10 +344,25 @@ class RoutingService {
   };
 
   [[nodiscard]] harness::Budget effective_budget(const SvcRequest& req) const;
+  /// The engine options a batch request routes (and probes) under.
+  [[nodiscard]] engine::EngineRouteOptions route_options(
+      const SvcRequest& req) const;
+  /// The accepted response to batch request `job`: `result` from the
+  /// engine on substrate `fingerprint` (`cache_hit`: from a cached()
+  /// probe), answered on tick `now`, queued until t0, routed t0..t1.
+  static SvcResponse routed(const Job& job, std::uint64_t now,
+                            alg::RouteResult result, std::uint64_t fingerprint,
+                            bool cache_hit,
+                            std::chrono::steady_clock::time_point t0,
+                            std::chrono::steady_clock::time_point t1);
   void route_window(std::vector<Job>& window, std::uint64_t now);
   void apply_edit(Job& job, std::uint64_t now);
   void reject(Job job, Admit why);
+  /// Releases the job's in-flight slot, then resolve()s it.
   void finish_job(Job& job, SvcResponse resp);
+  /// Observes the latency histograms, counts the request served and
+  /// resolves its promise.
+  void resolve(Job& job, SvcResponse resp, obs::Counter& tenant_c);
   obs::Counter& tenant_counter(const std::string& tenant);
 
   SvcOptions opts_;
@@ -358,6 +396,7 @@ class RoutingService {
   std::thread dispatcher_;
   bool started_ = false;
   bool stopped_ = false;
+  std::atomic<bool> live_{false};  // set by start(): probe at admission
 
   // Service metrics, resolved once (see the file comment on why these
   // use the registry directly rather than the instrumentation macros).
@@ -369,6 +408,7 @@ class RoutingService {
   obs::Counter& ticks_c_;
   obs::Histogram& queue_ms_h_;
   obs::Histogram& service_ms_h_;
+  std::uint64_t collector_id_ = 0;  // publish_metrics() as a collector
 };
 
 }  // namespace segroute::svc

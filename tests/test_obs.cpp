@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <random>
 #include <string>
 #include <thread>
@@ -326,6 +327,59 @@ TEST(ObsMetrics, SnapshotWhileRecordingIsDataRaceFree) {
   writer.join();
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kUpdates));
   EXPECT_EQ(h.snapshot().total, static_cast<std::uint64_t>(kUpdates));
+}
+
+TEST(Obs, CollectorsRunAtSnapshotAndUnregister) {
+  Registry& reg = Registry::instance();
+  Gauge& g = reg.gauge("test.collector.gauge");
+  std::atomic<int> runs{0};
+  const std::uint64_t id = reg.add_collector([&] {
+    g.set(static_cast<double>(runs.fetch_add(1) + 1));
+  });
+
+  // Every exposition runs the collector first, so each reads its own run.
+  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(runs.load(), 1);
+  const auto it = std::find_if(
+      snap.gauges.begin(), snap.gauges.end(),
+      [](const auto& kv) { return kv.first == "test.collector.gauge"; });
+  ASSERT_NE(it, snap.gauges.end());
+  EXPECT_EQ(it->second, 1.0);
+  EXPECT_NE(reg.prometheus_text().find("segroute_test_collector_gauge 2\n"),
+            std::string::npos);
+  EXPECT_EQ(runs.load(), 2);
+  EXPECT_NE(reg.json_text().find("\"test.collector.gauge\": 3"),
+            std::string::npos);
+  EXPECT_EQ(runs.load(), 3);
+
+  reg.remove_collector(id);
+  (void)reg.snapshot();
+  (void)reg.prometheus_text();
+  EXPECT_EQ(runs.load(), 3);
+
+  // A removal from another thread waits for a run in progress: the
+  // collector below blocks until released, and the remover must not
+  // return before the collector does.
+  std::atomic<bool> entered{false}, release{false}, finished{false};
+  std::atomic<bool> removed{false}, finished_at_removal{false};
+  const std::uint64_t slow = reg.add_collector([&] {
+    entered.store(true);
+    while (!release.load()) std::this_thread::yield();
+    finished.store(true);
+  });
+  std::thread scraper([&] { (void)reg.snapshot(); });
+  while (!entered.load()) std::this_thread::yield();
+  std::thread remover([&] {
+    reg.remove_collector(slow);
+    finished_at_removal.store(finished.load());
+    removed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(removed.load());
+  release.store(true);
+  remover.join();
+  scraper.join();
+  EXPECT_TRUE(finished_at_removal.load());
 }
 
 TEST(ObsSpan, StopWhileAnotherThreadRecordsIsDataRaceFree) {

@@ -1,6 +1,7 @@
 // Routing-as-a-service: admission control, deterministic driver mode,
-// per-tenant budget slicing, live edits racing traffic, and the
-// /metrics exposition (round-trip parsed and checked).
+// live-mode cache hits answered inside submit(), per-tenant budget
+// slicing, live edits racing traffic, and the /metrics exposition
+// (round-trip parsed and checked, gauges computed at scrape time).
 //
 // Naming note: every suite here starts with "Svc" so the svc_smoke
 // ctest (--gtest_filter=Svc*) covers the whole file.
@@ -60,10 +61,23 @@ Workload make_workload(const SegmentedChannel& ch, std::uint64_t seed) {
   return w;
 }
 
+svc::SvcRequest request(const std::string& tenant, const ConnectionSet& cs) {
+  svc::SvcRequest rq;
+  rq.tenant = tenant;
+  rq.connections = cs;
+  return rq;
+}
+
+bool ready(const std::future<svc::SvcResponse>& f) {
+  return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+}
+
 /// Runs one fixed driver-mode schedule and returns the digest folded
-/// over responses in submission order.
+/// over responses in submission order (and, when asked, the engine's
+/// cache counters at the end).
 std::uint64_t run_schedule(int threads, bool use_cache,
-                           std::uint64_t seed = 7) {
+                           std::uint64_t seed = 7,
+                           engine::CacheStats* cache = nullptr) {
   const SegmentedChannel ch = test_channel();
   svc::SvcOptions o;
   o.threads = threads;
@@ -95,6 +109,8 @@ std::uint64_t run_schedule(int threads, bool use_cache,
     svc.tick();
   }
   svc.stop(svc::RoutingService::StopMode::kDrain);
+  if (cache != nullptr) *cache = svc.engine().cache_stats();
+  EXPECT_EQ(svc.stats().admission_hits, 0u);  // driver mode always queues
 
   std::uint64_t digest = 1469598103934665603ull;
   for (auto& f : futs) digest = svc::fold_digest(digest, f.get());
@@ -112,6 +128,21 @@ TEST(SvcDeterminism, DigestIdenticalAcrossThreadsAndCacheModes) {
   // outcomes.
   EXPECT_EQ(run_schedule(1, false), base);
   EXPECT_EQ(run_schedule(8, false), base);
+}
+
+TEST(SvcDeterminism, DriverModeEngineCountsAreUnchanged) {
+  // Ticks answer hits through BatchRouter::cached(), which counts only
+  // hits, and route the misses, which count the miss: the totals are the
+  // ones a route()-only tick produced (14 hits and 15 misses over the 29
+  // requests of this schedule).
+  engine::CacheStats cache;
+  (void)run_schedule(1, true, 7, &cache);
+  EXPECT_EQ(cache.hits, 14u);
+  EXPECT_EQ(cache.misses, 15u);
+  for (const int threads : {2, 8}) {
+    (void)run_schedule(threads, true, 7, &cache);
+    EXPECT_EQ(cache.hits + cache.misses, 29u);
+  }
 }
 
 TEST(SvcDeterminism, ThreadsAutoResolves) {
@@ -256,6 +287,163 @@ TEST(SvcAdmission, RejectStopRespondsToEveryQueuedRequest) {
     EXPECT_EQ(r.admit, svc::Admit::kShuttingDown);
     EXPECT_EQ(r.result.failure, alg::FailureKind::kBudgetExhausted);
   }
+}
+
+// ---------------------------------------------------------------------
+// Live-mode cache hits answered inside submit().
+
+TEST(SvcAdmission, LiveCacheHitResolvesInsideSubmit) {
+  const SegmentedChannel ch = test_channel();
+  const Workload w = make_workload(ch, 17);
+  const ConnectionSet& cs = w.alice[0];
+
+  // The driver-mode answer, from a service without a cache.
+  svc::SvcOptions uncached;
+  uncached.engine.use_cache = false;
+  svc::RoutingService ref(ch, uncached);
+  auto fr = ref.submit(request("alice", cs));
+  ref.tick();
+  const svc::SvcResponse expect = fr.get();
+  ASSERT_TRUE(expect.result.success);
+
+  svc::RoutingService svc(ch);
+  svc.start();
+  const svc::SvcResponse warm = svc.submit(request("alice", cs)).get();
+  EXPECT_FALSE(warm.cache_hit);  // a miss, routed through the queue
+  EXPECT_EQ(svc.stats().admission_hits, 0u);
+  // tick() takes the dispatch lock, so it returns only after the
+  // dispatcher's tick has released it: the next probe cannot collide.
+  svc.tick();
+
+  const svc::SvcStats before = svc.stats();
+  auto fut = svc.submit(request("alice", cs));
+  ASSERT_TRUE(ready(fut));  // resolved before submit() returned
+  const svc::SvcResponse hit = fut.get();
+  EXPECT_EQ(hit.admit, svc::Admit::kAccepted);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.result.success, expect.result.success);
+  EXPECT_EQ(hit.result.routing, expect.result.routing);
+  EXPECT_EQ(hit.fingerprint, expect.fingerprint);
+  EXPECT_EQ(hit.queue_ms, 0.0);
+  EXPECT_EQ(hit.enqueue_tick, svc.current_tick());
+  EXPECT_EQ(hit.start_tick, hit.enqueue_tick);
+  EXPECT_EQ(hit.finish_tick, hit.enqueue_tick);
+
+  const svc::SvcStats after = svc.stats();
+  EXPECT_EQ(after.admission_hits, before.admission_hits + 1);
+  EXPECT_EQ(after.accepted, before.accepted + 1);
+  EXPECT_EQ(after.served, before.served + 1);
+  EXPECT_EQ(after.ticks, before.ticks);  // no tick was needed
+  svc.stop(svc::RoutingService::StopMode::kDrain);
+}
+
+TEST(SvcAdmission, SlicedTenantIsServedAtAdmission) {
+  const SegmentedChannel ch = test_channel();
+  const Workload w = make_workload(ch, 18);
+  svc::SvcOptions o;
+  o.tenant_slice_ticks["bob"] = 3;  // far too small to route anything
+  svc::RoutingService svc(ch, o);
+
+  // Warm in driver mode with an unsliced tenant, then go live.
+  auto fw = svc.submit(request("alice", w.bob[0]));
+  svc.tick();
+  const svc::SvcResponse warm = fw.get();
+  ASSERT_NE(warm.result.failure, alg::FailureKind::kBudgetExhausted);
+  svc.start();
+
+  auto fut = svc.submit(request("bob", w.bob[0]));
+  ASSERT_TRUE(ready(fut));
+  const svc::SvcResponse r = fut.get();
+  EXPECT_TRUE(r.cache_hit);
+  EXPECT_EQ(r.result.success, warm.result.success);
+  EXPECT_EQ(r.result.failure, warm.result.failure);
+  EXPECT_EQ(r.result.routing, warm.result.routing);
+  EXPECT_EQ(svc.stats().admission_hits, 1u);
+  svc.stop(svc::RoutingService::StopMode::kDrain);
+}
+
+/// A request that holds the dispatcher until `release` is set: the
+/// exhaustive router on 8 tracks, where five short connections multiply
+/// the branches before nine overlapping ones (sorted last) prove the
+/// instance infeasible. Its budget's cancel flag ends it; the router's
+/// branch cap bounds it if the flag is never set.
+svc::SvcRequest blocking_request(const std::string& tenant,
+                                 const std::atomic<bool>& release) {
+  svc::SvcRequest rq;
+  rq.tenant = tenant;
+  for (Column l = 1; l <= 41; l += 10) rq.connections.add(l, l + 1);
+  for (int i = 0; i < 9; ++i) rq.connections.add(57, 64);
+  rq.options.router = "exhaustive";
+  rq.options.budget = harness::Budget::with_cancel(release);
+  return rq;
+}
+
+TEST(SvcAdmission, AdmissionHitsPassTheSameChecks) {
+  const SegmentedChannel ch = test_channel();
+  const Workload w = make_workload(ch, 19);
+  const ConnectionSet& hot = w.alice[0];
+  svc::SvcOptions o;
+  o.queue_capacity = 2;
+  o.max_inflight_per_tenant = 1;
+  svc::RoutingService svc(ch, o);
+  auto fw = svc.submit(request("alice", hot));
+  svc.tick();
+  ASSERT_TRUE(fw.get().result.success);
+  svc.start();
+
+  const auto admit_of = [&](const std::string& tenant, const ConnectionSet& cs) {
+    auto f = svc.submit(request(tenant, cs));
+    EXPECT_TRUE(ready(f));  // a rejection resolves inside submit()
+    return f.get().admit;
+  };
+  EXPECT_EQ(admit_of("", hot), svc::Admit::kInvalid);
+  EXPECT_EQ(admit_of("", w.alice[1]), svc::Admit::kInvalid);
+
+  // Caps: while bob's blocker routes, bob is at his in-flight cap, and
+  // two queued misses fill the queue. Hits and misses are refused alike.
+  std::atomic<bool> release{false};
+  auto fblock = svc.submit(blocking_request("bob", release));
+  while (svc.stats().queue_depth != 0) std::this_thread::yield();
+  EXPECT_EQ(admit_of("bob", hot), svc::Admit::kTenantLimit);
+  EXPECT_EQ(admit_of("bob", w.alice[1]), svc::Admit::kTenantLimit);
+  auto fq1 = svc.submit(request("carol", w.alice[2]));
+  auto fq2 = svc.submit(request("dave", w.alice[3]));
+  EXPECT_EQ(admit_of("erin", hot), svc::Admit::kQueueFull);
+  EXPECT_EQ(admit_of("erin", w.alice[4]), svc::Admit::kQueueFull);
+  ASSERT_FALSE(ready(fblock)) << "the blocker ended before the checks ran";
+  release.store(true);
+  const svc::SvcResponse blocked = fblock.get();
+  EXPECT_EQ(blocked.admit, svc::Admit::kAccepted);
+  EXPECT_EQ(blocked.result.failure, alg::FailureKind::kBudgetExhausted);
+  EXPECT_EQ(fq1.get().admit, svc::Admit::kAccepted);
+  EXPECT_EQ(fq2.get().admit, svc::Admit::kAccepted);
+
+  // After stop() the probe still finds the hit, and admission still
+  // refuses it.
+  svc.stop(svc::RoutingService::StopMode::kDrain);
+  const std::uint64_t hits = svc.stats().admission_hits;
+  EXPECT_EQ(admit_of("alice", hot), svc::Admit::kShuttingDown);
+  EXPECT_EQ(admit_of("alice", w.alice[5]), svc::Admit::kShuttingDown);
+  EXPECT_EQ(svc.stats().admission_hits, hits);
+  EXPECT_EQ(svc.stats().rejected_shutdown, 2u);
+}
+
+TEST(SvcAdmission, LiveMissRoutesThroughTheQueue) {
+  const SegmentedChannel ch = test_channel();
+  const Workload w = make_workload(ch, 20);
+  svc::RoutingService svc(ch);
+  svc.start();
+  const svc::SvcResponse r = svc.submit(request("alice", w.alice[0])).get();
+  EXPECT_EQ(r.admit, svc::Admit::kAccepted);
+  EXPECT_TRUE(r.result.success);
+  EXPECT_FALSE(r.cache_hit);
+  EXPECT_GE(r.start_tick, 1u);  // drained by a tick
+  const svc::SvcStats s = svc.stats();
+  EXPECT_EQ(s.admission_hits, 0u);
+  EXPECT_EQ(s.served, 1u);
+  EXPECT_GE(s.ticks, 1u);
+  EXPECT_EQ(svc.engine().cache_stats().misses, 1u);
+  svc.stop(svc::RoutingService::StopMode::kDrain);
 }
 
 TEST(SvcSlicing, TenantTickSliceBoundsHardInstances) {
@@ -734,6 +922,82 @@ TEST(SvcMetrics, ExpositionRoundTripsAgainstSnapshot) {
             static_cast<double>(cs.hits));
   EXPECT_EQ(parsed.value_or("segroute_svc_cache_misses", -1),
             static_cast<double>(cs.misses));
+}
+
+TEST(SvcMetrics, GaugesAreFreshAtScrape) {
+  const SegmentedChannel ch = test_channel();
+  const Workload w = make_workload(ch, 26);
+  svc::SvcOptions o;
+  o.engine.cache_shards = 4;
+  svc::RoutingService svc(ch, o);
+  const auto scrape = [] {
+    const svc::PromText t =
+        svc::parse_prometheus_text(obs::Registry::instance().prometheus_text());
+    EXPECT_TRUE(t.ok) << t.error;
+    return t;
+  };
+  const auto shard_sizes = [](const svc::PromText& t) {
+    double sum = 0.0;
+    for (int i = 0; i < 4; ++i) {
+      sum += t.value_or("segroute_svc_cache_shard" + std::to_string(i) + "_size",
+                        -100.0);
+    }
+    return sum;
+  };
+  const double served0 = scrape().value_or("segroute_svc_served", 0.0);
+
+  // Queued, and no tick has run: the scrape sees the queue anyway.
+  std::vector<std::future<svc::SvcResponse>> futs;
+  for (std::size_t i = 0; i < 3; ++i) {
+    futs.push_back(svc.submit(request("alice", w.alice[i])));
+  }
+  svc::PromText t = scrape();
+  EXPECT_EQ(t.value_or("segroute_svc_queue_depth", -1.0), 3.0);
+  EXPECT_EQ(shard_sizes(t), 0.0);
+
+  // Live, and never stopped before the scrape: the dispatcher routes the
+  // three, then the same three again are cache hits.
+  svc.start();
+  for (auto& f : futs) ASSERT_TRUE(f.get().result.success);
+  for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(svc.submit(request("alice", w.alice[i])).get().cache_hit);
+  }
+  t = scrape();
+  EXPECT_EQ(t.value_or("segroute_svc_queue_depth", -1.0), 0.0);
+  EXPECT_EQ(shard_sizes(t), 3.0);
+  EXPECT_EQ(t.value_or("segroute_svc_cache_size", -1.0), 3.0);
+  EXPECT_EQ(t.value_or("segroute_svc_served", 0.0), served0 + 6.0);
+  EXPECT_EQ(t.value_or("segroute_svc_admission_hits", -1.0),
+            static_cast<double>(svc.stats().admission_hits));
+  EXPECT_EQ(t.value_or("segroute_svc_cache_hits", -1.0),
+            static_cast<double>(svc.engine().cache_stats().hits));
+  svc.stop(svc::RoutingService::StopMode::kDrain);
+}
+
+TEST(SvcMetrics, ServiceDestroyedWhileScrapingIsSafe) {
+  // Each service removes its collector on destruction; a scrape running
+  // it at that moment must finish first (ASan reports the use-after-free
+  // otherwise, TSan the race).
+  const SegmentedChannel ch = test_channel();
+  const Workload w = make_workload(ch, 27);
+  std::atomic<bool> done{false};
+  std::atomic<int> scrapes{0};
+  std::thread scraper([&] {
+    while (!done.load()) {
+      (void)obs::Registry::instance().prometheus_text();
+      scrapes.fetch_add(1);
+    }
+  });
+  while (scrapes.load() == 0) std::this_thread::yield();
+  for (int round = 0; round < 20; ++round) {
+    svc::RoutingService svc(ch);
+    svc.start();
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_TRUE(svc.submit(request("alice", w.alice[i])).get().result.success);
+    }
+  }
+  done.store(true);
+  scraper.join();
 }
 
 TEST(SvcMetrics, ParserRejectsMalformedText) {
