@@ -8,6 +8,9 @@
 //                   vs the independent per-channel baseline
 //                   (route_independent = one greedy pass, no pricing)
 //   iterations      negotiation iterations at the minimum track count
+//   probes          channels each min-width search built (one per
+//                   route() call), for the negotiated and the
+//                   independent search, counted at the channel factory
 //
 // plus a thread-scaling section on the largest size: the same fabric
 // routed at 1/2/8 threads, cache on and off — results must be
@@ -17,8 +20,8 @@
 // Checked invariants (fatal under --check):
 //   - digests bit-identical across 1/2/8 threads and cache on/off;
 //   - negotiated min tracks <= independent min tracks on every size;
-//   - min tracks and iterations exactly equal the committed baseline
-//     (they are deterministic quantities, not timings);
+//   - min tracks, iterations and probes exactly equal the committed
+//     baseline (they are deterministic quantities, not timings);
 //   - timings within 5x of the committed baseline;
 //   - 8-thread speedup >= 3x — only gated when the host has >= 8
 //     hardware threads (the committed baseline records
@@ -34,6 +37,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_json.h"
@@ -65,6 +69,8 @@ struct SizeRow {
   int min_tracks = 0;
   int min_tracks_independent = 0;
   int iterations = 0;
+  int probes = 0;
+  int probes_independent = 0;
   double ms_route = 0.0;
 };
 
@@ -125,17 +131,25 @@ int main(int argc, char** argv) {
   engine::CacheStats cache_last;
 
   io::Table table(
-      {"fabric", "nets", "min tracks", "independent", "iters", "ms/route"});
+      {"fabric", "nets", "min tracks", "independent", "iters", "probes",
+       "ms/route"});
   for (const Size& s : sizes) {
     const Scenario sc = make_scenario(s);
-    const fpga::FabricRouter fr(sc.dev, sc.nl, sc.p, make_channel);
+    int built = 0;  // channels built: one per route() call
+    const fpga::FabricRouter fr(sc.dev, sc.nl, sc.p,
+                                [&built](int tracks, Column width) {
+                                  ++built;
+                                  return make_channel(tracks, width);
+                                });
     fpga::FabricOptions o;
     o.max_iterations = 10;
     fpga::FabricOptions ind = o;
     ind.max_iterations = 1;
 
     const auto negotiated = fr.min_fabric_tracks(32, o);
+    const int probes = built;
     const auto independent = fr.min_fabric_tracks(32, ind);
+    const int probes_independent = built - probes;
     if (!negotiated || !independent) {
       std::cout << "FAIL: " << s.name << " did not route within 32 tracks\n";
       ++failures;
@@ -151,9 +165,12 @@ int main(int argc, char** argv) {
 
     table.add_row({s.name, std::to_string(s.nets), std::to_string(*negotiated),
                    std::to_string(*independent),
-                   std::to_string(res.iterations), io::Table::num(ms, 3)});
-    rows.push_back(
-        {"fabric/" + s.name, *negotiated, *independent, res.iterations, ms});
+                   std::to_string(res.iterations),
+                   std::to_string(probes) + " / " +
+                       std::to_string(probes_independent),
+                   io::Table::num(ms, 3)});
+    rows.push_back({"fabric/" + s.name, *negotiated, *independent,
+                    res.iterations, probes, probes_independent, ms});
   }
 
   // --- thread scaling on the largest size --------------------------------
@@ -216,6 +233,8 @@ int main(int argc, char** argv) {
        << "\", \"min_tracks\": " << r.min_tracks
        << ", \"min_tracks_independent\": " << r.min_tracks_independent
        << ", \"iterations\": " << r.iterations
+       << ", \"probes\": " << r.probes
+       << ", \"probes_independent\": " << r.probes_independent
        << ", \"ms_route\": " << fmt(r.ms_route) << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -255,17 +274,18 @@ int main(int argc, char** argv) {
     std::cout << "\nbaseline check vs " << check_path << "\n";
     for (const SizeRow& r : rows) {
       // Deterministic quantities must match the baseline exactly.
-      const auto bt = base.field(r.key, "min_tracks");
-      const auto bi = base.field(r.key, "iterations");
-      if (bt && static_cast<int>(*bt) != r.min_tracks) {
-        std::cout << "  FAIL " << r.key << ": min_tracks " << r.min_tracks
-                  << " != baseline " << *bt << "\n";
-        ++failures;
-      }
-      if (bi && static_cast<int>(*bi) != r.iterations) {
-        std::cout << "  FAIL " << r.key << ": iterations " << r.iterations
-                  << " != baseline " << *bi << "\n";
-        ++failures;
+      const std::pair<const char*, int> exact[] = {
+          {"min_tracks", r.min_tracks},
+          {"iterations", r.iterations},
+          {"probes", r.probes},
+          {"probes_independent", r.probes_independent}};
+      for (const auto& [field, value] : exact) {
+        const auto b = base.field(r.key, field);
+        if (b && static_cast<int>(*b) != value) {
+          std::cout << "  FAIL " << r.key << ": " << field << " " << value
+                    << " != baseline " << *b << "\n";
+          ++failures;
+        }
       }
       const auto bms = base.field(r.key, "ms_route");
       if (bms && *bms > 0 && r.ms_route > 5.0 * *bms) {

@@ -36,6 +36,87 @@ struct Trunk {
   int ch_lo = 0, ch_hi = 0;      // candidate channels [ch_lo, ch_hi]
 };
 
+// The placement check shared by route() and min_fabric_tracks(): the
+// placement's grid is the device's and every netlist cell sits on it, so
+// each pin column lies in [1, width] and each channel in [0, rows].
+bool placement_fits(const DeviceSpec& dev, const Netlist& nl,
+                    const Placement& p) {
+  if (dev.cell_width < 1 || p.rows != dev.rows ||
+      p.slots_per_row != dev.slots_per_row ||
+      static_cast<int>(p.pos.size()) < nl.num_cells()) {
+    return false;
+  }
+  for (int cell = 0; cell < nl.num_cells(); ++cell) {
+    const int row = p.row_of(cell);
+    const int slot = p.slot_of(cell);
+    if (row < 0 || row >= dev.rows || slot < 0 || slot >= dev.slots_per_row) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The trunk geometry that depends on the placement alone: physical span
+// over the pin columns and the adjacent-channel range. Extended spans
+// depend on the substrate; route() fills them in.
+std::vector<Trunk> physical_trunks(const DeviceSpec& dev, const Netlist& nl,
+                                   const Placement& p) {
+  std::vector<Trunk> trunks;
+  trunks.reserve(static_cast<std::size_t>(nl.num_nets()));
+  for (int n = 0; n < nl.num_nets(); ++n) {
+    const CellNet& net = nl.net(n);
+    if (net.cells.empty()) continue;  // channel_of_net stays -1
+    Trunk t;
+    t.net = n;
+    t.left = dev.columns();
+    t.right = 1;
+    t.ch_lo = dev.rows;
+    t.ch_hi = 0;
+    for (int cell : net.cells) {
+      const Column col = dev.pin_column(p.slot_of(cell));
+      t.left = std::min(t.left, col);
+      t.right = std::max(t.right, col);
+      t.ch_lo = std::min(t.ch_lo, p.row_of(cell));
+      t.ch_hi = std::max(t.ch_hi, p.row_of(cell));
+    }
+    t.ch_hi += 1;  // row r touches channels r (above) and r+1 (below)
+    trunks.push_back(t);
+  }
+  return trunks;
+}
+
+// Hall's condition per column: a trunk over column x takes a track at x
+// in one channel of its range, so the trunks over x whose whole range
+// lies inside a channel interval [a, b] need ceil(count / (b - a + 1))
+// tracks. Every range is an interval, so checking intervals checks every
+// subset. Returns the largest need, at least 1.
+int hall_bound(const std::vector<Trunk>& trunks, int channels, Column width) {
+  const auto C = static_cast<std::size_t>(channels);
+  // cnt[x][lo][hi]: trunks over column x with channel range [lo, hi].
+  std::vector<int> cnt((static_cast<std::size_t>(width) + 1) * C * C, 0);
+  const auto at = [&](Column x, int lo, int hi) -> int& {
+    return cnt[(static_cast<std::size_t>(x) * C + static_cast<std::size_t>(lo)) * C +
+               static_cast<std::size_t>(hi)];
+  };
+  for (const Trunk& t : trunks) {
+    for (Column x = t.left; x <= t.right; ++x) ++at(x, t.ch_lo, t.ch_hi);
+  }
+  int bound = 1;
+  for (Column x = 1; x <= width; ++x) {
+    // In place, a descending and b ascending, at(x, a, b) becomes the
+    // count of ranges inside [a, b] by inclusion-exclusion. Entries with
+    // lo > hi (the empty interval [a + 1, a]) are never written: zero.
+    for (int a = channels - 1; a >= 0; --a) {
+      for (int b = a; b < channels; ++b) {
+        int& s = at(x, a, b);
+        if (b > a) s += at(x, a + 1, b) + at(x, a, b - 1) - at(x, a + 1, b - 1);
+        bound = std::max(bound, (s + b - a) / (b - a + 1));
+      }
+    }
+  }
+  return bound;
+}
+
 // Fingerprint of a per-track price table, quantized so that bit-equal
 // behavior maps to one tag. Never returns 0 (the reserved "untagged"
 // value that bypasses the engine cache).
@@ -77,8 +158,7 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
     res.note = "fabric: no channel factory";
     return res;
   }
-  if (p_->rows != dev_.rows || p_->slots_per_row != dev_.slots_per_row ||
-      static_cast<int>(p_->pos.size()) < nl_->num_cells()) {
+  if (!placement_fits(dev_, *nl_, *p_)) {
     res.note = "fabric: placement grid != device grid";
     return res;
   }
@@ -88,29 +168,13 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
     return res;
   }
 
-  // --- Trunk geometry (once per route): physical spans from the
-  // placement, extended spans from the substrate's segment boundaries.
+  // --- Trunk geometry (once per route): physical spans and channel
+  // ranges from the placement, extended spans from the substrate's
+  // segment boundaries.
   const ChannelIndex idx(sub);
   const int ntypes = idx.num_types();
-  std::vector<Trunk> trunks;
-  trunks.reserve(static_cast<std::size_t>(nl_->num_nets()));
-  for (int n = 0; n < nl_->num_nets(); ++n) {
-    const CellNet& net = nl_->net(n);
-    if (net.cells.empty()) continue;  // channel_of_net stays -1
-    Trunk t;
-    t.net = n;
-    t.left = width;
-    t.right = 1;
-    t.ch_lo = dev_.rows;
-    t.ch_hi = 0;
-    for (int cell : net.cells) {
-      const Column col = dev_.pin_column(p_->slot_of(cell));
-      t.left = std::min(t.left, col);
-      t.right = std::max(t.right, col);
-      t.ch_lo = std::min(t.ch_lo, p_->row_of(cell));
-      t.ch_hi = std::max(t.ch_hi, p_->row_of(cell));
-    }
-    t.ch_hi += 1;  // row r touches channels r (above) and r+1 (below)
+  std::vector<Trunk> trunks = physical_trunks(dev_, *nl_, *p_);
+  for (Trunk& t : trunks) {
     // Extended span: widen to the segment boundaries of the track class
     // that extends the net least (ties to the lowest class id).
     Column best_len = std::numeric_limits<Column>::max();
@@ -124,7 +188,6 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
         t.eright = er;
       }
     }
-    trunks.push_back(t);
   }
   // Assignment order: longest physical span first (fewest good homes),
   // net id breaking ties — fixed across iterations, threads, cache modes.
@@ -178,7 +241,9 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
   channel_slice.cancel = opts.budget.cancel;
 
   bool budget_hit = false;
+  std::uint64_t failed = 0;  // channels the latest round failed to route
   for (int it = 0; it < max_iter; ++it) {
+    SEGROUTE_SPAN(iter_span, "fabric.iteration");
     SEGROUTE_COUNT("fabric.iterations", 1);
     res.iterations = it + 1;
 
@@ -321,14 +386,15 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
         rep.failure = pr.failure;  // first failing part, part order fixed
       }
     }
-    bool all_routed = true;
+    failed = 0;
     budget_hit = false;
     for (const auto& rep : res.channels) {
-      all_routed = all_routed && rep.routed;
+      failed += rep.routed ? 0 : 1;
       budget_hit =
           budget_hit || rep.failure == alg::FailureKind::kBudgetExhausted;
     }
-    if (all_routed) {
+    SEGROUTE_SPAN_TAG(iter_span, "failed", failed);
+    if (failed == 0) {
       res.success = true;
       break;
     }
@@ -415,8 +481,6 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
   }
   res.digest = d;
 
-  std::uint64_t failed = 0;
-  for (const auto& rep : res.channels) failed += rep.routed ? 0 : 1;
   SEGROUTE_COUNT("fabric.failed_channels", failed);
   SEGROUTE_GAUGE_MAX("fabric.iterations_max", static_cast<std::uint64_t>(res.iterations));
   return res;
@@ -431,31 +495,33 @@ FabricResult FabricRouter::route_independent(int tracks,
 
 std::optional<int> FabricRouter::min_fabric_tracks(
     int track_limit, const FabricOptions& opts) const {
-  // Wire-capacity lower bound: total trunk wirelength over the fabric's
-  // horizontal capacity per track layer (C channels x width columns).
-  std::int64_t wire = 0;
-  for (int n = 0; n < nl_->num_nets(); ++n) {
-    const CellNet& net = nl_->net(n);
-    if (net.cells.empty()) continue;
-    Column lo = dev_.columns(), hi = 1;
-    for (int cell : net.cells) {
-      const Column col = dev_.pin_column(p_->slot_of(cell));
-      lo = std::min(lo, col);
-      hi = std::max(hi, col);
-    }
-    wire += hi - lo + 1;
-  }
-  const std::int64_t layer =
-      static_cast<std::int64_t>(dev_.num_channels()) * dev_.columns();
-  const int lb = std::max<std::int64_t>(1, (wire + layer - 1) / layer);
+  SEGROUTE_SPAN(search_span, "fabric.min_width");
+  if (!placement_fits(dev_, *nl_, *p_)) return std::nullopt;
+  // A successful route() keeps every channel's column density within
+  // its tracks, so no width below the Hall bound can succeed.
+  const int lb = hall_bound(physical_trunks(dev_, *nl_, *p_),
+                            dev_.num_channels(), dev_.columns());
+  SEGROUTE_INSTANT("fabric.min_width.bound", "lower_bound",
+                   static_cast<std::uint64_t>(lb));
+  std::optional<int> found;
+  std::uint64_t probes = 0;
   for (int t = lb; t <= track_limit; ++t) {
+    ++probes;
     const FabricResult r = route(t, opts);
-    if (r.success) return t;
-    for (const auto& rep : r.channels) {
-      if (rep.failure == alg::FailureKind::kBudgetExhausted) return std::nullopt;
+    if (r.success) {
+      found = t;
+      break;
+    }
+    if (std::any_of(r.channels.begin(), r.channels.end(), [](const auto& rep) {
+          return rep.failure == alg::FailureKind::kBudgetExhausted;
+        })) {
+      break;
     }
   }
-  return std::nullopt;
+  SEGROUTE_INSTANT("fabric.min_width.probes", "probes", probes);
+  SEGROUTE_SPAN_TAG(search_span, "tracks",
+                    static_cast<std::uint64_t>(found.value_or(0)));
+  return found;
 }
 
 }  // namespace segroute::fpga

@@ -175,8 +175,14 @@ class FabricRouter {
   [[nodiscard]] FabricResult route_independent(
       int tracks, const FabricOptions& opts = {}) const;
 
-  /// Smallest track count (scanned up from a wire-capacity lower bound)
-  /// for which route() succeeds, or nullopt if none within track_limit.
+  /// Smallest track count for which route() succeeds, or nullopt if none
+  /// within track_limit, if a route() call exhausts opts.budget, or if
+  /// the placement does not fit the device (route()'s placement check).
+  /// The scan starts at a per-column Hall bound: for every column x and
+  /// channel interval [a, b], the trunks over x whose adjacent-channel
+  /// range lies inside [a, b] need ceil(count / (b - a + 1)) tracks. No
+  /// width below that bound can route, so the answer is the one a scan
+  /// from width 1 would find, without routing the widths in between.
   [[nodiscard]] std::optional<int> min_fabric_tracks(
       int track_limit, const FabricOptions& opts = {}) const;
 

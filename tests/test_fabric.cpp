@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <set>
 #include <vector>
@@ -221,17 +222,102 @@ TEST(Fabric, AutoThreadsMatchesExplicit) {
   EXPECT_EQ(fr.route(6, serial).digest, fr.route(6, autod).digest);
 }
 
+TEST(Fabric, MinWidthSearchSkipsOnlyInfeasibleWidths) {
+  // The search starts at its Hall bound, not at width 1: it must still
+  // find what a scan from width 1 finds, and the width just below its
+  // first probe must fail.
+  int skipped = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const bool tall = seed % 3 == 0;
+    const Scenario sc = make_scenario(seed, tall ? 5 : 3, tall ? 10 : 8,
+                                      tall ? 24 : 14);
+    std::vector<int> probed;  // widths the factory was asked for, in order
+    const auto base = staggered_factory(5);
+    const FabricRouter fr(sc.dev, sc.nl, sc.p,
+                          [&probed, base](int tracks, Column width) {
+                            probed.push_back(tracks);
+                            return base(tracks, width);
+                          });
+    FabricOptions o;
+    o.max_iterations = 6;
+    const auto found = fr.min_fabric_tracks(16, o);
+    ASSERT_FALSE(probed.empty()) << "seed " << seed;
+    const int first = probed.front();
+
+    std::optional<int> reference;
+    for (int t = 1; t <= 16 && !reference; ++t) {
+      if (fr.route(t, o).success) reference = t;
+    }
+    EXPECT_EQ(found, reference) << "seed " << seed;
+    if (found) {
+      EXPECT_LE(first, *found) << "seed " << seed;
+    }
+    if (first > 1) {
+      EXPECT_FALSE(fr.route(first - 1, o).success) << "seed " << seed;
+      ++skipped;
+    }
+  }
+  EXPECT_GT(skipped, 0);  // the bound skipped widths somewhere
+}
+
+TEST(Fabric, MinWidthSearchStartsAtTheHallBound) {
+  // Three nets in row 0 of a two-row device all cross column 3. Row 0
+  // reaches channels 0 and 1 only, so the three trunks need
+  // ceil(3 / 2) = 2 tracks. Counted against all three channels, or
+  // averaged over the columns as a wire-capacity bound does (13 columns
+  // of trunk over 3 channels x 8 columns), they would need only 1.
+  DeviceSpec dev;
+  dev.rows = 2;
+  dev.slots_per_row = 4;
+  dev.cell_width = 2;  // pins at columns 1, 3, 5, 7; width 8
+  const Netlist nl(8, {CellNet{{0, 1}, "A"}, CellNet{{0, 2}, "B"},
+                       CellNet{{1, 3}, "C"}});
+  const Placement p = sequential_placement(nl, dev.rows, dev.slots_per_row);
+  std::vector<int> probed;
+  const FabricRouter fr(dev, nl, p, [&probed](int tracks, Column width) {
+    probed.push_back(tracks);
+    return SegmentedChannel::unsegmented(tracks, width);
+  });
+  EXPECT_FALSE(fr.route(1).success);
+  probed.clear();
+  EXPECT_EQ(fr.min_fabric_tracks(8), 2);
+  EXPECT_EQ(probed, std::vector<int>{2});  // one probe, at the bound
+}
+
 TEST(Fabric, RejectsMalformedInputs) {
   const Scenario sc = make_scenario(1);
   const FabricRouter fr(sc.dev, sc.nl, sc.p, staggered_factory(6));
   EXPECT_FALSE(fr.route(0).success);
 
+  // Each malformed placement is rejected by route() with its note and by
+  // min_fabric_tracks() with nullopt, before any pin is read.
+  const auto expect_rejected = [&](const Placement& bad_p, const char* what) {
+    const FabricRouter bad(sc.dev, sc.nl, bad_p, staggered_factory(6));
+    const FabricResult res = bad.route(4);
+    EXPECT_FALSE(res.success) << what;
+    EXPECT_NE(res.note.find("placement"), std::string::npos) << what;
+    EXPECT_EQ(bad.min_fabric_tracks(16), std::nullopt) << what;
+  };
   Placement wrong = sc.p;
   wrong.rows = sc.dev.rows + 1;
-  const FabricRouter bad(sc.dev, sc.nl, wrong, staggered_factory(6));
-  const FabricResult res = bad.route(4);
-  EXPECT_FALSE(res.success);
-  EXPECT_NE(res.note.find("placement"), std::string::npos);
+  expect_rejected(wrong, "grid rows");
+
+  // A fresh vector: a shrunk one keeps its capacity, and ASan would not
+  // flag a read past its end.
+  Placement short_pos = sc.p;
+  short_pos.pos = std::vector<std::pair<int, int>>(sc.p.pos.begin(),
+                                                   sc.p.pos.end() - 1);
+  expect_rejected(short_pos, "short pos");
+
+  Placement bad_row = sc.p;
+  bad_row.pos[0].first = sc.dev.rows;
+  expect_rejected(bad_row, "row past the device");
+  bad_row.pos[0].first = -1;
+  expect_rejected(bad_row, "negative row");
+
+  Placement bad_slot = sc.p;
+  bad_slot.pos[0].second = sc.dev.slots_per_row;
+  expect_rejected(bad_slot, "slot past the device");
 }
 
 }  // namespace

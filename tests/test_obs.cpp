@@ -13,7 +13,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "alg/dp.h"
 #include "core/weights.h"
 #include "engine/batch.h"
+#include "fpga/fabric.h"
 #include "gen/segmentation.h"
 #include "gen/workload.h"
 #include "harness/robust_route.h"
@@ -496,6 +499,69 @@ TEST(ObsRouting, RobustRouteEmitsOutcomeTaggedStageSpans) {
     }
   }
   EXPECT_TRUE(stage_found);
+#else
+  EXPECT_TRUE(session.events().empty());
+#endif
+}
+
+TEST(ObsRouting, FabricSearchTracesItsBoundProbesAndRounds) {
+  std::mt19937_64 rng(4245);
+  fpga::DeviceSpec dev;
+  dev.rows = 3;
+  dev.slots_per_row = 8;
+  dev.cell_width = 2;
+  const fpga::Netlist nl = fpga::random_netlist(24, 14, 4, 8, rng);
+  const fpga::Placement p = fpga::random_placement(nl, 3, 8, rng);
+  std::vector<int> probed;  // widths the search built channels for
+  const fpga::FabricRouter fr(dev, nl, p, [&probed](int tracks, Column width) {
+    probed.push_back(tracks);
+    return gen::staggered_segmentation(tracks, width, 5);
+  });
+  fpga::FabricOptions o;
+  o.max_iterations = 6;
+
+  TraceSession session;
+  ASSERT_TRUE(session.start());
+  const std::optional<int> m = fr.min_fabric_tracks(16, o);
+  session.stop();
+  ASSERT_TRUE(m.has_value());
+  ASSERT_FALSE(probed.empty());
+
+#if SEGROUTE_OBS_ENABLED
+  const EventList& evs = session.events();
+  const TraceEvent* search = find_event(evs, "fabric.min_width");
+  ASSERT_NE(search, nullptr);
+  EXPECT_STREQ(search->tag_key, "tracks");
+  EXPECT_EQ(search->tag_u64, static_cast<std::uint64_t>(*m));
+  const TraceEvent* bound = find_event(evs, "fabric.min_width.bound");
+  ASSERT_NE(bound, nullptr);
+  EXPECT_EQ(bound->parent, search->id);
+  EXPECT_EQ(bound->tag_u64, static_cast<std::uint64_t>(probed.front()));
+  const TraceEvent* probes = find_event(evs, "fabric.min_width.probes");
+  ASSERT_NE(probes, nullptr);
+  EXPECT_EQ(probes->tag_u64, probed.size());
+
+  // One fabric.route span per probe under the search, and one
+  // fabric.iteration span per negotiation round under its route; only
+  // the final round of the last probe leaves no channel unrouted.
+  std::set<std::uint64_t> routes;
+  for (const TraceEvent& e : evs) {
+    if (std::string("fabric.route") == e.name) {
+      EXPECT_EQ(e.parent, search->id);
+      routes.insert(e.id);
+    }
+  }
+  EXPECT_EQ(routes.size(), probed.size());
+  std::size_t rounds = 0, clean = 0;
+  for (const TraceEvent& e : evs) {
+    if (std::string("fabric.iteration") != e.name) continue;
+    ++rounds;
+    EXPECT_TRUE(routes.count(e.parent) == 1);
+    EXPECT_STREQ(e.tag_key, "failed");
+    clean += e.tag_u64 == 0 ? 1 : 0;
+  }
+  EXPECT_GE(rounds, routes.size());
+  EXPECT_EQ(clean, 1u);
 #else
   EXPECT_TRUE(session.events().empty());
 #endif
