@@ -5,9 +5,10 @@
 // capacity sweeps and Monte-Carlo studies. Three paths route the
 // identical instance stream:
 //
-//   direct          dp_route with no workspace (the historical path)
-//   engine-nocache  BatchRouter with the memo cache off: registry
-//                   dispatch + per-thread scratch only
+//   direct          dp_route called directly (its per-thread workspace
+//                   is the same one the engine path uses)
+//   engine-nocache  BatchRouter with the memo cache off: the engine
+//                   span and registry dispatch only
 //   engine-cache    BatchRouter with the memo cache on: repeats after the
 //                   first cycle are cache hits
 //
@@ -130,7 +131,7 @@ int run_obs_gate(const bench::Baseline* base, const std::vector<PathRow>& rows) 
   //   dp_route      1 span, 3 counters, 2 gauges, ~(2*conns+1) histogram
   //                 observes at flush (the 32-conn bench instances give
   //                 65; charge 80)
-  //   engine shell  1 span + 1 gauge (scratch high-water) on top of dp
+  //   engine shell  1 span on top of dp
   //   registry      1 span ("alg.route") + 1 counter per dispatch — paid
   //                 by the engine miss path, not by direct free functions
   //   cache hit     1 span + 1 counter, nothing else (hits bypass the
@@ -138,8 +139,7 @@ int run_obs_gate(const bench::Baseline* base, const std::vector<PathRow>& rows) 
   const double dp_charge =
       span_ns + 3 * count_ns + 2 * gauge_ns + 80 * hist_ns;
   const double direct_ns = dp_charge;
-  const double nocache_ns =
-      dp_charge + 2 * span_ns + 2 * count_ns + gauge_ns;
+  const double nocache_ns = dp_charge + 2 * span_ns + 2 * count_ns;
   const double hit_ns = span_ns + count_ns;
 
   int failures = 0;

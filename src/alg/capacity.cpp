@@ -14,7 +14,7 @@ namespace {
 
 // Direct registry probe, bypassing the engine. min_tracks keeps using it
 // because every probe builds a *different* channel, so a BatchRouter's
-// fingerprint-keyed cache and scratch have nothing to amortize; the
+// fingerprint-keyed cache has nothing to amortize; the
 // fixed-channel searches below go through the engine instead.
 bool routes(const SegmentedChannel& ch, const ConnectionSet& cs,
             const CapacityOptions& opts) {
@@ -138,9 +138,9 @@ std::optional<int> min_tracks(const ConnectionSet& cs,
 int max_routable_prefix(const SegmentedChannel& ch, const ConnectionSet& cs,
                         const CapacityOptions& opts) {
   // Fixed channel, many probes: route through the engine. The channel
-  // is fingerprinted once, probes reuse per-thread scratch, and the memo
-  // cache keeps its answers across repeated calls on the same channel
-  // (e.g. a capacity sweep re-probing overlapping prefixes).
+  // is fingerprinted once and the memo cache keeps its answers across
+  // repeated calls on the same channel (e.g. a capacity sweep re-probing
+  // overlapping prefixes).
   engine::BatchOptions bo;
   bo.threads = opts.threads;
   engine::BatchRouter router(ch, bo);
@@ -209,9 +209,9 @@ double routability(const SegmentedChannel& ch,
   // trial, in trial order, so both the master stream consumption and
   // every trial's workload are independent of the thread count. The
   // workloads are drawn up front (same streams, same order) and routed
-  // as one engine batch: per-thread scratch, memo
-  // cache off — independently drawn random workloads essentially never
-  // repeat, so caching them would only burn memory.
+  // as one engine batch with the memo cache off — independently drawn
+  // random workloads essentially never repeat, so caching them would
+  // only burn memory.
   std::vector<std::uint64_t> seeds(static_cast<std::size_t>(trials));
   for (auto& s : seeds) s = rng();
   std::vector<ConnectionSet> batch(static_cast<std::size_t>(trials));

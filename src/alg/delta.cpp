@@ -2,6 +2,7 @@
 
 #include "alg/registry.h"
 #include "core/routing.h"
+#include "obs/instrument.h"
 
 namespace segroute::alg {
 
@@ -26,6 +27,9 @@ const char* to_string(RepairOutcome::Path p) {
 CanonicalResult from_scratch(const SegmentedChannel& ch,
                              const ConnectionSet& cs, bool policy_best_fit,
                              int max_segments, const harness::Budget& budget) {
+  // Tagged with the regime that answered; an invalid input leaves it
+  // untagged.
+  SEGROUTE_SPAN(span, "alg.from_scratch");
   CanonicalResult out;
   out.result.routing = Routing(cs.size());
   // The registry's pre-check rule, applied before the greedy so both
@@ -60,6 +64,7 @@ CanonicalResult from_scratch(const SegmentedChannel& ch,
   if (greedy_ok) {
     out.result.success = true;
     out.regime = CanonicalRegime::kGreedy;
+    SEGROUTE_SPAN_TAG(span, "regime", "greedy");
     return out;
   }
 
@@ -72,6 +77,7 @@ CanonicalResult from_scratch(const SegmentedChannel& ch,
   rq.budget = budget;
   out.result = route("dp", rq);
   out.regime = CanonicalRegime::kDp;
+  SEGROUTE_SPAN_TAG(span, "regime", "dp");
   return out;
 }
 

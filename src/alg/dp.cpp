@@ -7,6 +7,7 @@
 
 #include "alg/frontier_bits.h"
 #include "core/routing.h"
+#include "core/thread_scratch.h"
 #include "obs/instrument.h"
 
 namespace segroute::alg {
@@ -29,26 +30,13 @@ RouteResult dp_route(const SegmentedChannel& ch, const ConnectionSet& cs,
   const TrackId T = ch.num_tracks();
   const std::size_t Ts = static_cast<std::size_t>(T);
 
-  // All per-call vectors come from a workspace: the caller's, or —
-  // when none is supplied — a per-thread fallback, so even the
-  // no-workspace path is allocation-free in steady state. Every field is
+  // All per-call vectors come from the thread's workspace, so repeated
+  // calls are allocation-free in steady state. Every field is
   // reinitialized per call, so reuse cannot leak state between calls. A
   // re-entrant call on the same thread (a WeightFn that routes, say)
-  // finds the fallback busy and degrades to a call-local workspace.
-  static thread_local DpWorkspace tl_ws;
-  static thread_local bool tl_busy = false;
-  DpWorkspace local_ws;
-  const bool use_tl = opts.workspace == nullptr && !tl_busy;
-  DpWorkspace& ws =
-      opts.workspace ? *opts.workspace : (use_tl ? tl_ws : local_ws);
-  struct TlGuard {
-    bool active;
-    bool* flag;
-    ~TlGuard() {
-      if (active) *flag = false;
-    }
-  } tl_guard{use_tl, &tl_busy};
-  if (use_tl) tl_busy = true;
+  // gets a call-local workspace instead.
+  ThreadScratch<DpWorkspace> scratch;
+  DpWorkspace& ws = scratch.get();
 
   // Build track classes: segmentation types if canonicalizing, singletons
   // otherwise. Tracks are regrouped so each class occupies a contiguous
@@ -224,8 +212,7 @@ RouteResult dp_route(const SegmentedChannel& ch, const ConnectionSet& cs,
     SEGROUTE_COUNT("dp.nodes_created", res.stats.total_nodes);
     SEGROUTE_COUNT("dp.dedup_hits", dedup_hits);
     SEGROUTE_GAUGE_MAX("dp.frontier_high_water", res.stats.max_level_nodes);
-    // Packed-word bytes actually held — matches workspace_bytes() and
-    // the engine's Scratch::bytes_held() accounting.
+    // Packed-word bytes actually held by the frontier arena.
     SEGROUTE_GAUGE_MAX("dp.arena_high_water_bytes",
                        arena.capacity() * sizeof(arena[0]));
     SEGROUTE_HIST_RANGE("dp.level_nodes", res.stats.nodes_per_level.data(),

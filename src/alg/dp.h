@@ -38,13 +38,11 @@
 
 namespace segroute::alg {
 
-/// Reusable scratch for dp_route: every per-call vector (frontier arena,
-/// node metadata SoA, dedup table, per-level class tables, replay state)
-/// in one bundle, so repeated calls on one thread are allocation-free in
-/// steady state. Plain data — default-construct and hand the same object
-/// to successive calls. NOT thread-safe: one workspace per thread, never
-/// shared by concurrent (or nested) dp_route calls. The engine's
-/// per-thread scratch (engine/scratch.h) owns one per thread.
+/// dp_route's scratch: every per-call vector (frontier arena, node
+/// metadata SoA, dedup table, per-level class tables, replay state) in
+/// one bundle. dp_route leases the calling thread's workspace through
+/// ThreadScratch (core/thread_scratch.h), so repeated calls on one thread
+/// are allocation-free in steady state; a nested call gets its own.
 struct DpWorkspace {
   /// Packed-state layout for the current call: each frontier is
   /// bit-packed into `codec.words()` 64-bit occupancy words (see
@@ -84,22 +82,6 @@ struct DpWorkspace {
   std::vector<Column> next_free;
 };
 
-/// Heap bytes retained by a workspace (vector capacities, not sizes):
-/// the arena high-water mark a long-lived workspace holds between calls.
-/// The frontier arena is counted in packed-word bytes — the bytes
-/// actually held — so Scratch::bytes_held() stays exact.
-inline std::size_t workspace_bytes(const DpWorkspace& ws) {
-  const auto cap = [](const auto& v) {
-    return v.capacity() * sizeof(v[0]);
-  };
-  return ws.codec.bytes_held() + cap(ws.arena) + cap(ws.parent) +
-         cap(ws.edge_class) + cap(ws.node_w) + cap(ws.slots) +
-         cap(ws.cls_ok) + cap(ws.cls_free) + cap(ws.cls_w) +
-         cap(ws.cls_next_free) + cap(ws.fields) + cap(ws.words) +
-         cap(ws.order) + cap(ws.class_members) + cap(ws.class_begin) +
-         cap(ws.class_cursor) + cap(ws.class_choice) + cap(ws.next_free);
-}
-
 struct DpOptions {
   /// 0 = unlimited-segment routing (Problem 1); K > 0 = K-segment routing
   /// (Problem 2).
@@ -123,10 +105,6 @@ struct DpOptions {
   /// frontier expansion). On exhaustion the router returns a structured
   /// FailureKind::kBudgetExhausted failure instead of running unbounded.
   harness::Budget budget;
-
-  /// Reusable scratch (see DpWorkspace). When null a call-local
-  /// workspace is used — the historical allocate-per-call behavior.
-  DpWorkspace* workspace = nullptr;
 };
 
 /// Runs the assignment-graph DP. On success the routing is complete and

@@ -217,14 +217,6 @@ class FrontierCodec {
                (static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)) << s);
   }
 
-  /// Heap bytes retained by the layout tables (for workspace accounting;
-  /// zero for uniform layouts).
-  [[nodiscard]] std::size_t bytes_held() const {
-    return word_of_.capacity() * sizeof(word_of_[0]) +
-           shift_.capacity() * sizeof(shift_[0]) +
-           mask_.capacity() * sizeof(mask_[0]);
-  }
-
  private:
   static std::uint64_t field_mask(std::uint32_t bits) {
     return bits >= 64 ? ~0ull : ((1ull << bits) - 1);

@@ -1,15 +1,14 @@
 #include "alg/greedy1.h"
 
-#include <optional>
-
 #include "core/routing.h"
+#include "core/thread_scratch.h"
 #include "obs/instrument.h"
 
 namespace segroute::alg {
 
 RouteResult greedy1_route_traced(const SegmentedChannel& ch,
                                  const ConnectionSet& cs, Greedy1Trace* trace,
-                                 TieBreak tie, const RouteContext& ctx) {
+                                 TieBreak tie) {
   RouteResult res;
   res.routing = Routing(cs.size());
   SEGROUTE_SPAN(g1_span, "alg.greedy1_route");
@@ -24,9 +23,9 @@ RouteResult greedy1_route_traced(const SegmentedChannel& ch,
   // Candidate tracks rejected (multi-segment span or occupied), flushed
   // once at exit.
   std::uint64_t rejected = 0;
-  std::optional<Occupancy> local_occ;
-  Occupancy& occ = ctx.occupancy ? *ctx.occupancy : local_occ.emplace(ch);
-  if (ctx.occupancy) occ.reset();
+  ThreadScratch<Occupancy> scratch;
+  Occupancy& occ = scratch.get();
+  occ.rebind(ch);
   for (ConnId i : cs.sorted_by_left()) {
     const Connection& c = cs[i];
     TrackId best = kNoTrack;
@@ -73,8 +72,8 @@ RouteResult greedy1_route_traced(const SegmentedChannel& ch,
 }
 
 RouteResult greedy1_route(const SegmentedChannel& ch, const ConnectionSet& cs,
-                          TieBreak tie, const RouteContext& ctx) {
-  return greedy1_route_traced(ch, cs, nullptr, tie, ctx);
+                          TieBreak tie) {
+  return greedy1_route_traced(ch, cs, nullptr, tie);
 }
 
 }  // namespace segroute::alg

@@ -18,12 +18,8 @@ enum class TieBreak { LowestTrack, HighestTrack };
 /// where it fits in one *unoccupied* segment, pick the one whose segment
 /// has the smallest right end. Complete iff any 1-segment routing exists
 /// (Theorem 3).
-///
-/// `ctx` optionally supplies a reusable Occupancy (reset here; no
-/// per-call allocation). Results are bit-identical with and without it.
 RouteResult greedy1_route(const SegmentedChannel& ch, const ConnectionSet& cs,
-                          TieBreak tie = TieBreak::LowestTrack,
-                          const RouteContext& ctx = {});
+                          TieBreak tie = TieBreak::LowestTrack);
 
 /// The segment chosen for each connection, for trace-style reporting
 /// (track and segment index per connection); parallel to the routing.
@@ -34,7 +30,6 @@ struct Greedy1Trace {
 /// As greedy1_route but also reports which segment each connection took.
 RouteResult greedy1_route_traced(const SegmentedChannel& ch,
                                  const ConnectionSet& cs, Greedy1Trace* trace,
-                                 TieBreak tie = TieBreak::LowestTrack,
-                                 const RouteContext& ctx = {});
+                                 TieBreak tie = TieBreak::LowestTrack);
 
 }  // namespace segroute::alg

@@ -1,14 +1,13 @@
 #include "alg/left_edge.h"
 
-#include <optional>
-
 #include "core/routing.h"
+#include "core/thread_scratch.h"
 #include "obs/instrument.h"
 
 namespace segroute::alg {
 
 RouteResult left_edge_route(const SegmentedChannel& ch, const ConnectionSet& cs,
-                            int max_segments, const RouteContext& ctx) {
+                            int max_segments) {
   RouteResult res;
   res.routing = Routing(cs.size());
   SEGROUTE_SPAN(le_span, "alg.left_edge_route");
@@ -23,9 +22,9 @@ RouteResult left_edge_route(const SegmentedChannel& ch, const ConnectionSet& cs,
     SEGROUTE_SPAN_TAG(le_span, "outcome", to_string(res.failure));
     return res;
   }
-  std::optional<Occupancy> local_occ;
-  Occupancy& occ = ctx.occupancy ? *ctx.occupancy : local_occ.emplace(ch);
-  if (ctx.occupancy) occ.reset();
+  ThreadScratch<Occupancy> scratch;
+  Occupancy& occ = scratch.get();
+  occ.rebind(ch);
   std::uint64_t probes = 0;  // occupied-track placement attempts, flushed once
   for (ConnId i : cs.sorted_by_left()) {
     const Connection& c = cs[i];

@@ -19,12 +19,8 @@ namespace segroute::alg {
 /// Requires ch.identically_segmented(): the algorithm runs on any
 /// channel, but its exactness guarantee requires identical tracks, so a
 /// mixed channel is rejected with FailureKind::kInvalidInput.
-///
-/// `ctx` optionally supplies a reusable Occupancy (reset here); results
-/// are bit-identical with and without it.
 RouteResult left_edge_route(const SegmentedChannel& ch, const ConnectionSet& cs,
-                            int max_segments = 0,
-                            const RouteContext& ctx = {});
+                            int max_segments = 0);
 
 /// Conventional (freely customized) channel routing baseline: the number
 /// of tracks the left-edge algorithm needs with no segmentation

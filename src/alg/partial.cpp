@@ -1,15 +1,15 @@
 #include "alg/partial.h"
 
-#include <optional>
 #include <string>
 
 #include "core/routing.h"
+#include "core/thread_scratch.h"
 #include "obs/instrument.h"
 
 namespace segroute::alg {
 
 RouteResult partial_route(const SegmentedChannel& ch, const ConnectionSet& cs,
-                          const PartialOptions& opts, const RouteContext& ctx) {
+                          const PartialOptions& opts) {
   SEGROUTE_SPAN(span, "alg.partial");
   RouteResult res;
   res.routing = Routing(cs.size());
@@ -20,15 +20,9 @@ RouteResult partial_route(const SegmentedChannel& ch, const ConnectionSet& cs,
 
   const Column W = ch.width();
 
-  // Borrowed workspace when the engine provides one, a local otherwise.
-  std::optional<Occupancy> local;
-  Occupancy* occ = ctx.occupancy;
-  if (occ) {
-    occ->rebind(ch);  // clears; reuses rows when the shape matches
-  } else {
-    local.emplace(ch);
-    occ = &*local;
-  }
+  ThreadScratch<Occupancy> scratch;
+  Occupancy& occ = scratch.get();
+  occ.rebind(ch);
 
   harness::BudgetMeter meter(opts.budget);
   int budget_dead_from = -1;
@@ -44,13 +38,13 @@ RouteResult partial_route(const SegmentedChannel& ch, const ConnectionSet& cs,
       continue;
     }
     const TrackId best =
-        best_fit_track(ch, *occ, c.left, c.right, opts.max_segments,
+        best_fit_track(ch, occ, c.left, c.right, opts.max_segments,
                        FitScore::kSegmentsSpanned);
     if (best == kNoTrack) {
       res.unrouted.push_back({i, FailureKind::kInfeasible});
       continue;
     }
-    occ->place(best, c.left, c.right, i);
+    occ.place(best, c.left, c.right, i);
     res.routing.assign(i, best);
   }
   if (budget_dead_from >= 0) {

@@ -48,7 +48,6 @@ struct PartialOptions {
 /// Routes the maximal greedy subset of `cs` on `ch`. Registered in
 /// alg::registry() as "partial". See file comment for the contract.
 RouteResult partial_route(const SegmentedChannel& ch, const ConnectionSet& cs,
-                          const PartialOptions& opts = {},
-                          const RouteContext& ctx = {});
+                          const PartialOptions& opts = {});
 
 }  // namespace segroute::alg

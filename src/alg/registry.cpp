@@ -29,7 +29,6 @@ RouteResult route_dp(const RouteRequest& rq) {
   o.max_total_nodes = static_cast<std::uint64_t>(
       rq.options.param_int("max_total_nodes", 20'000'000));
   o.budget = rq.budget;
-  o.workspace = rq.dp_workspace;
   return dp_route(*rq.channel, *rq.connections, o);
 }
 
@@ -47,7 +46,7 @@ RouteResult route_greedy1(const RouteRequest& rq) {
              "greedy1: unknown tie_break \"" + tb + "\"");
     return res;
   }
-  return greedy1_route(*rq.channel, *rq.connections, tie, rq.context);
+  return greedy1_route(*rq.channel, *rq.connections, tie);
 }
 
 RouteResult route_match1(const RouteRequest& rq) {
@@ -64,7 +63,7 @@ RouteResult route_greedy2track(const RouteRequest& rq) {
 
 RouteResult route_left_edge(const RouteRequest& rq) {
   return left_edge_route(*rq.channel, *rq.connections,
-                         rq.options.max_segments, rq.context);
+                         rq.options.max_segments);
 }
 
 RouteResult route_lp(const RouteRequest& rq) {
@@ -144,14 +143,14 @@ RouteResult route_online(const RouteRequest& rq) {
 
 RouteResult route_express(const RouteRequest& rq) {
   return net::express_route(*rq.channel, *rq.connections,
-                            rq.options.max_segments, rq.context);
+                            rq.options.max_segments);
 }
 
 RouteResult route_partial(const RouteRequest& rq) {
   PartialOptions o;
   o.max_segments = rq.options.max_segments;
   o.budget = rq.budget;
-  return partial_route(*rq.channel, *rq.connections, o, rq.context);
+  return partial_route(*rq.channel, *rq.connections, o);
 }
 
 /// Comma-separated registry names, for the unknown-router diagnostic.

@@ -67,4 +67,34 @@ int SegmentedChannel::max_segments_per_track() const {
   return m;
 }
 
+namespace {
+
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
+  // Mix 64 bits byte-wise so column values with equal low bytes still
+  // diffuse (plain 64-bit xor-multiply weakens small-integer inputs).
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xffu;
+    h *= kFnvPrime;
+  }
+}
+
+}  // namespace
+
+std::uint64_t fingerprint(const SegmentedChannel& ch) {
+  std::uint64_t h = kFnvOffset;
+  fnv_mix(h, static_cast<std::uint64_t>(ch.width()));
+  fnv_mix(h, static_cast<std::uint64_t>(ch.num_tracks()));
+  for (const Track& tr : ch.tracks()) {
+    fnv_mix(h, static_cast<std::uint64_t>(tr.num_segments()));
+    for (const Segment& seg : tr.segments()) {
+      fnv_mix(h, static_cast<std::uint64_t>(
+                     static_cast<std::uint32_t>(seg.right)));
+    }
+  }
+  return h;
+}
+
 }  // namespace segroute

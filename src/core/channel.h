@@ -2,6 +2,7 @@
 // columns 1..N, each divided into fixed segments by switches.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/track.h"
@@ -58,5 +59,15 @@ class SegmentedChannel {
   std::vector<int> type_of_;
   int num_types_ = 0;
 };
+
+/// FNV-1a hash of the full channel structure (width, track count, every
+/// segment boundary). It keys the BatchRouter memo cache and the
+/// CheckpointStore: two channels with equal fingerprints are structurally
+/// identical for routing purposes (collisions are possible in principle
+/// but need 2^32-scale channel populations), and any structural edit —
+/// including a FaultPlan-materialized degraded channel — changes it, so
+/// caches keyed by it cannot serve stale answers across hardware faults.
+/// O(total segments).
+[[nodiscard]] std::uint64_t fingerprint(const SegmentedChannel& ch);
 
 }  // namespace segroute

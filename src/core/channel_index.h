@@ -1,15 +1,10 @@
-// ChannelIndex: an immutable, hash-fingerprinted side structure over one
-// SegmentedChannel, owned by the stateful components that need its
-// fingerprint or its O(1) tables.
+// ChannelIndex: immutable O(1) lookup tables over one SegmentedChannel.
 //
-// The stateless routers read SegmentedChannel/Track directly; an index is
-// built only where it is kept and read:
-//
-//  - BatchRouter keys its memo cache by fingerprint(); robust_route
-//    builds one per call for the fingerprint alone, which keys its
-//    CheckpointStore entries and scratch arenas (it reads no table);
-//  - the fabric router reads the type classes and the O(1) segment
-//    lookups.
+// The routers read SegmentedChannel/Track directly, and the channel's
+// fingerprint is the free function segroute::fingerprint (core/channel.h).
+// The one reader of these tables is the fabric router (fpga/fabric.cpp),
+// which builds an index per channel for the type classes and the O(1)
+// segment lookups.
 //
 // Tables:
 //
@@ -20,15 +15,6 @@
 //    offset;
 //  - type classes: the channel's identical-segmentation partition with a
 //    representative track and the member list per type.
-//
-// The fingerprint is an FNV-1a hash of the full channel structure (width,
-// track count, every segment boundary). It keys the engine's per-thread
-// scratch arenas and the BatchRouter memo cache: two channels with equal
-// fingerprints are structurally identical for routing purposes (collisions
-// are possible in principle but need 2^32-scale channel populations), and
-// any structural edit — including a FaultPlan-materialized degraded
-// channel — changes the fingerprint, so caches keyed by it cannot serve
-// stale answers across hardware faults.
 //
 // Lifetime: the index borrows the channel; the channel must outlive it.
 #pragma once
@@ -46,7 +32,10 @@ class ChannelIndex {
   explicit ChannelIndex(const SegmentedChannel& ch);
 
   [[nodiscard]] const SegmentedChannel& channel() const { return *ch_; }
-  [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
+  /// segroute::fingerprint(channel()), computed on each call.
+  [[nodiscard]] std::uint64_t fingerprint() const {
+    return segroute::fingerprint(*ch_);
+  }
   [[nodiscard]] TrackId num_tracks() const { return num_tracks_; }
 
   /// O(1): segment of track `t` containing column `c` (1 <= c <= width).
@@ -81,7 +70,6 @@ class ChannelIndex {
   }
 
   const SegmentedChannel* ch_;
-  std::uint64_t fingerprint_ = 0;
   TrackId num_tracks_ = 0;
   std::size_t cols_ = 0;  // width + 1 (column 0 unused; columns 1-based)
 

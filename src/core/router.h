@@ -4,16 +4,14 @@
 // The paper poses four problem variants (unlimited, K-segment,
 // weighted-optimal, generalized) and this library implements about a
 // dozen routers for them. Historically each had its own signature —
-// positional tie-break enums, optional RouteContext parameters, ad-hoc
+// positional tie-break enums, optional scratch parameters, ad-hoc
 // throw contracts — so every consumer (the robust_route portfolio, the
 // batch engine, capacity search, benches, tests) hand-wired each router
 // separately. A RouteRequest carries everything any of them needs:
 //
 //   - the channel and connection set to route (borrowed, required); every
-//     router reads its segments straight from SegmentedChannel/Track;
-//   - optional scratch: a reusable Occupancy (via RouteContext) and a DP
-//     workspace, so engine-style callers stay allocation-free in steady
-//     state;
+//     router reads its segments straight from SegmentedChannel/Track and
+//     keeps its own per-thread scratch (core/thread_scratch.h);
 //   - RouterOptions: the common knobs (K-segment limit, optimization
 //     weight) plus a string-keyed parameter map for router-specific
 //     extras (tie-break policy, annealing schedule, node caps);
@@ -34,15 +32,10 @@
 
 #include "core/channel.h"
 #include "core/connection.h"
-#include "core/routing.h"
 #include "core/weights.h"
 #include "harness/budget.h"
 
 namespace segroute {
-
-namespace alg {
-struct DpWorkspace;  // alg/dp.h
-}
 
 /// The common routing knobs plus a string-keyed escape hatch for
 /// router-specific parameters. Unknown keys are ignored by routers that
@@ -161,14 +154,6 @@ struct RouteRequest {
 
   /// The connections to route. Required.
   const ConnectionSet* connections = nullptr;
-
-  /// Optional occupancy scratch for the occupancy-based routers; results
-  /// are bit-identical with and without it.
-  RouteContext context;
-
-  /// Optional reusable scratch for the DP-family routers (ignored by the
-  /// rest). One workspace per thread, never shared by concurrent calls.
-  alg::DpWorkspace* dp_workspace = nullptr;
 
   /// The common knobs plus router-specific parameters.
   RouterOptions options;

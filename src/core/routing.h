@@ -68,6 +68,10 @@ class Occupancy {
  public:
   explicit Occupancy(const SegmentedChannel& ch);
 
+  /// An unbound workspace with no rows (the reusable per-thread scratch
+  /// of core/thread_scratch.h); rebind() it before any other use.
+  Occupancy() = default;
+
   /// Clears every segment to unoccupied in place, without reallocating.
   /// Lets a caller that routes repeatedly on one channel reuse a single
   /// workspace instead of constructing a fresh Occupancy per attempt.
@@ -75,7 +79,7 @@ class Occupancy {
 
   /// Points the workspace at `ch` and clears it. Per-row incremental:
   /// each row whose segment count already matches `ch` is reused in
-  /// place (the steady-state, allocation-free path of the engine's
+  /// place (the steady-state, allocation-free path of a router's
   /// per-thread scratch), and only mismatched rows are rebuilt — so an
   /// edit that resegments one track touches one row.
   void rebind(const SegmentedChannel& ch);
@@ -96,16 +100,8 @@ class Occupancy {
     return occ_[static_cast<std::size_t>(t)][static_cast<std::size_t>(s)];
   }
 
-  /// Heap bytes retained by the workspace (row capacities, not sizes) —
-  /// observability for long-lived reusable instances.
-  [[nodiscard]] std::size_t bytes_held() const {
-    std::size_t bytes = occ_.capacity() * sizeof(occ_[0]);
-    for (const auto& row : occ_) bytes += row.capacity() * sizeof(ConnId);
-    return bytes;
-  }
-
  private:
-  const SegmentedChannel* ch_;
+  const SegmentedChannel* ch_ = nullptr;
   std::vector<std::vector<ConnId>> occ_;  // per track, per segment
 };
 
@@ -125,13 +121,5 @@ enum class FitScore {
 /// Precondition: 1 <= lo <= hi <= ch.width().
 TrackId best_fit_track(const SegmentedChannel& ch, const Occupancy& occ,
                        Column lo, Column hi, int max_segments, FitScore score);
-
-/// Shared routing scratch threaded through the occupancy-based routers: a
-/// reusable Occupancy, borrowed, which must have been constructed (or
-/// rebound) for the channel being routed. Default (null) builds a
-/// call-local Occupancy; results are identical either way.
-struct RouteContext {
-  Occupancy* occupancy = nullptr;
-};
 
 }  // namespace segroute

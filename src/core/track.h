@@ -45,8 +45,8 @@ class Track {
 
   /// Index of the segment containing column `c` (1 <= c <= width).
   /// Branchless binary search over the segment list, O(log S) with no
-  /// per-column lookup table. The stateful owners of a ChannelIndex
-  /// (core/channel_index.h) use its O(1) per-column table instead.
+  /// per-column lookup table. The fabric router, which keeps a
+  /// ChannelIndex (core/channel_index.h), uses its O(1) table instead.
   [[nodiscard]] SegId segment_at(Column c) const;
 
   /// Segment-index range [first, last] (inclusive) a connection spanning

@@ -4,7 +4,6 @@
 
 #include "alg/registry.h"
 #include "core/router.h"
-#include "engine/scratch.h"
 #include "obs/instrument.h"
 
 namespace segroute::engine {
@@ -63,7 +62,10 @@ std::optional<WeightFn> make_weight(WeightKind k) {
 }
 
 BatchRouter::BatchRouter(const SegmentedChannel& ch, BatchOptions opts)
-    : ch_(&ch), index_(ch), opts_(opts), pool_(opts.threads) {
+    : ch_(&ch),
+      fingerprint_(segroute::fingerprint(ch)),
+      opts_(opts),
+      pool_(opts.threads) {
   for (int k = 0; k < 5; ++k) {
     weight_fns_[k] = make_weight(static_cast<WeightKind>(k));
   }
@@ -95,7 +97,7 @@ BatchRouter::CacheKey BatchRouter::make_key(
     const ConnectionSet& cs, const EngineRouteOptions& opts) const {
   CacheKey key;
   key.router = opts.router;
-  key.fingerprint = index_.fingerprint();
+  key.fingerprint = fingerprint_;
   key.max_segments = opts.max_segments;
   key.weight = opts.weight;
   key.weight_tag = opts.custom_weight ? opts.weight_tag : 0;
@@ -119,22 +121,15 @@ BatchRouter::CacheKey BatchRouter::make_key(
 
 alg::RouteResult BatchRouter::route_one(const ConnectionSet& cs,
                                         const EngineRouteOptions& opts) {
-  Scratch& scratch = thread_scratch();
   RouteRequest rq;
   rq.channel = ch_;
   rq.connections = &cs;
-  rq.context.occupancy = &scratch.occupancy_for(index_);
-  rq.dp_workspace = &scratch.dp();
   rq.options.max_segments = opts.max_segments;
   rq.options.weight = opts.custom_weight
                           ? opts.custom_weight
                           : weight_fns_[static_cast<int>(opts.weight)];
   rq.budget = opts.budget;
-  alg::RouteResult res = alg::route(opts.router, rq);
-  // The scratch arenas grow during the route; record the retained
-  // high-water mark after the fact.
-  SEGROUTE_GAUGE_MAX("engine.scratch.bytes_held", scratch.bytes_held());
-  return res;
+  return alg::route(opts.router, rq);
 }
 
 bool BatchRouter::cache_readable(const EngineRouteOptions& opts) const {
@@ -171,8 +166,7 @@ std::optional<alg::RouteResult> BatchRouter::cached(
 
 alg::RouteResult BatchRouter::route(const ConnectionSet& cs,
                                     const EngineRouteOptions& opts) {
-  SEGROUTE_SPAN(route_span, "engine.route", "fingerprint",
-                index_.fingerprint());
+  SEGROUTE_SPAN(route_span, "engine.route", "fingerprint", fingerprint_);
   if (!cache_readable(opts)) return route_one(cs, opts);
   CacheKey key = make_key(cs, opts);
   Shard& shard = shard_of(key.hash);
@@ -237,8 +231,8 @@ std::vector<alg::RouteResult> BatchRouter::route_many(
 
 void BatchRouter::rebind(const SegmentedChannel& ch) {
   ch_ = &ch;
-  index_ = ChannelIndex(ch);
-  SEGROUTE_INSTANT("engine.rebind", "fingerprint", index_.fingerprint());
+  fingerprint_ = segroute::fingerprint(ch);
+  SEGROUTE_INSTANT("engine.rebind", "fingerprint", fingerprint_);
 }
 
 void BatchRouter::invalidate(std::uint64_t fingerprint) {

@@ -4,19 +4,18 @@
 // FPGA-style workloads route the *same* segmented channel over and over
 // — capacity probes re-route under growing prefixes, the fabric router
 // re-routes every channel each negotiation round, Monte-Carlo
-// routability draws thousands of random connection sets. The direct
-// path pays full price each time: workspace allocation and — when
-// instances repeat — the whole DP again for an answer already computed.
+// routability draws thousands of random connection sets. When instances
+// repeat, the direct path runs the whole DP again for an answer already
+// computed.
 //
-// The engine stacks three layers on one ChannelIndex, built once per
-// BatchRouter for its fingerprint:
-//
-//   1. the fingerprint, which keys the scratch and the memo cache;
-//   2. per-thread scratch arenas (engine/scratch.h), so steady-state
-//      calls are allocation-free;
-//   3. a bounded, *sharded* LRU memo cache keyed by (channel
-//      fingerprint, router name, connection sequence, routing options),
-//      with hit/miss/eviction counters merged across shards.
+// The engine keeps the channel and its fingerprint (segroute::fingerprint,
+// computed once per BatchRouter and per rebind) and puts in front of the
+// routers a bounded, *sharded* LRU memo cache keyed by (channel
+// fingerprint, router name, connection sequence, routing options), with
+// hit/miss/eviction counters merged across shards. Scratch memory is not
+// the engine's: each router leases its own per-thread workspace
+// (core/thread_scratch.h), so steady-state calls are allocation-free on
+// every path, engine or direct.
 //
 // Cache sharding. One mutex in front of the memo cache serializes every
 // worker of a parallel sweep — the fabric router (fpga/fabric.h) routes
@@ -54,7 +53,7 @@
 //
 // Degradation support (the survivability layer, harness/chaos.h):
 // rebind() re-points the engine at a structurally different channel —
-// typically a FaultPlan-degraded one — rebuilding the index while
+// typically a FaultPlan-degraded one — recomputing the fingerprint while
 // *keeping* the memo cache. Entries are keyed by the substrate
 // fingerprint (it participates in key equality, not just the hash), so
 // entries from other substrates can never be served wrongly, and
@@ -77,7 +76,7 @@
 #include <vector>
 
 #include "alg/result.h"
-#include "core/channel_index.h"
+#include "core/channel.h"
 #include "core/connection.h"
 #include "core/weights.h"
 #include "harness/budget.h"
@@ -181,14 +180,17 @@ struct BatchOptions {
 
 class BatchRouter {
  public:
-  /// Builds the channel's index once. The channel must outlive the router.
+  /// Fingerprints the channel once. The channel must outlive the router.
   explicit BatchRouter(const SegmentedChannel& ch, BatchOptions opts = {});
 
-  [[nodiscard]] const ChannelIndex& index() const { return index_; }
+  /// The channel routed on (the last rebind() target).
+  [[nodiscard]] const SegmentedChannel& channel() const { return *ch_; }
+  /// segroute::fingerprint(channel()), the substrate key of the cache.
+  [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
   [[nodiscard]] const BatchOptions& options() const { return opts_; }
 
-  /// Routes one instance through the engine (thread scratch + memo
-  /// cache), dispatching to the registered router named in the
+  /// Routes one instance through the engine (memo cache in front of the
+  /// registry), dispatching to the registered router named in the
   /// options. Bit-identical to calling that router's free function
   /// directly with the same options (the default "dp" matches dp_route).
   alg::RouteResult route(const ConnectionSet& cs,
@@ -220,8 +222,8 @@ class BatchRouter {
       const std::vector<ConnectionSet>& batch,
       const std::vector<EngineRouteOptions>& opts);
 
-  /// Re-points the engine at `ch` (which must outlive it), rebuilding the
-  /// index. The memo cache is kept: entries are fingerprint-keyed,
+  /// Re-points the engine at `ch` (which must outlive it), recomputing the
+  /// fingerprint. The memo cache is kept: entries are fingerprint-keyed,
   /// so stale service is impossible and returning to a previously seen
   /// substrate re-hits its entries. Not thread-safe against concurrent
   /// route()/route_many() calls — quiesce the engine first.
@@ -309,7 +311,7 @@ class BatchRouter {
                              const EngineRouteOptions& opts);
 
   const SegmentedChannel* ch_;
-  ChannelIndex index_;
+  std::uint64_t fingerprint_;
   BatchOptions opts_;
   std::optional<WeightFn> weight_fns_[5];  // one per WeightKind, lazy-free
   util::ThreadPool pool_;

@@ -215,8 +215,8 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
       std::vector<int>(static_cast<std::size_t>(width) + 1, 0));
 
   // --- One shared engine for the whole fabric: all channels route on the
-  // same substrate, so every part everywhere shares one index, one
-  // scratch pool, one sharded memo cache.
+  // same substrate, so every part everywhere shares one fingerprint and
+  // one sharded memo cache.
   engine::BatchOptions bo;
   bo.threads = opts.threads;
   bo.use_cache = opts.use_cache;

@@ -44,7 +44,7 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
   bo.use_cache = true;
   bo.cache_capacity = opts.cache_capacity;
   engine::BatchRouter engine(ch, bo);
-  const std::uint64_t base_fp = engine.index().fingerprint();
+  const std::uint64_t base_fp = engine.fingerprint();
 
   engine::EngineRouteOptions ro;
   ro.router = opts.router;
@@ -170,7 +170,7 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
 
     // Degrade + reroute: point the session at the surviving substrate.
     engine.rebind(degraded->channel);
-    const std::uint64_t deg_fp = engine.index().fingerprint();
+    const std::uint64_t deg_fp = engine.fingerprint();
     rec.fingerprint = deg_fp;
     const std::vector<alg::RouteResult> results = engine.route_many(batch, ro);
     const alg::RouteResult& primary = results.front();

@@ -101,7 +101,9 @@ struct ChaosCycle {
   bool rolled_back = false;  // live routing rolled back to base checkpoint
   int routed = 0;            // connections routed in the degrade phase
   int edits = 0;             // edits applied this cycle (edits_per_cycle > 0)
-  int edit_repairs = 0;      // ... of which the localized repair handled
+  // ... of which the canonical greedy placed every connection
+  // (RepairOutcome::Path::kRepair)
+  int edit_repairs = 0;
 };
 
 struct ChaosReport {
@@ -118,7 +120,9 @@ struct ChaosReport {
 
   // Edit-stream summary (all zero when edits_per_cycle == 0).
   int edits = 0;             // ChannelEdits applied across all cycles
-  int edit_repairs = 0;      // ... handled by the localized repair path
+  // ... where the canonical greedy placed every connection
+  // (RepairOutcome::Path::kRepair)
+  int edit_repairs = 0;
   int edit_dp_fallbacks = 0; // ... that needed the full-DP fallback
   int edits_rejected = 0;    // ... rejected (infeasible edit; state kept)
   int edit_mismatches = 0;   // session snapshot != from_scratch reference

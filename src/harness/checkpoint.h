@@ -4,8 +4,8 @@
 // attempt on a degraded channel fails, the session must roll back to the
 // last known-good routing instead of keeping a corrupt or empty state
 // (the spirit of VPR's place_checkpoint). A RoutingCheckpoint captures
-// one routing together with the ChannelIndex fingerprint of the
-// substrate it was verified on; a CheckpointStore holds a bounded LRU
+// one routing together with the fingerprint (segroute::fingerprint,
+// core/channel.h) of the substrate it was verified on; a CheckpointStore holds a bounded LRU
 // set of them, one slot per fingerprint.
 //
 // Two safety properties distinguish a checkpoint from a plain cache:
@@ -47,7 +47,7 @@
 namespace segroute::harness {
 
 /// One saved routing state, keyed by the substrate fingerprint it was
-/// verified on (ChannelIndex::fingerprint()).
+/// verified on (segroute::fingerprint()).
 struct RoutingCheckpoint {
   std::uint64_t fingerprint = 0;
   Routing routing;

@@ -10,9 +10,7 @@
 
 #include "alg/partial.h"
 #include "alg/registry.h"
-#include "core/channel_index.h"
 #include "core/router.h"
-#include "engine/scratch.h"
 #include "obs/instrument.h"
 
 namespace segroute::harness {
@@ -56,15 +54,11 @@ std::chrono::milliseconds scale_ms(std::chrono::milliseconds d,
 
 RouteResult run_stage(const RouterEntry& e, const SegmentedChannel& ch,
                       const ConnectionSet& cs, const RobustOptions& o,
-                      const Budget& b, std::uint64_t fingerprint) {
-  // Every stage goes through the registry dispatcher with the calling
-  // thread's scratch arenas, keyed by the routed substrate's fingerprint.
-  engine::Scratch& scratch = engine::thread_scratch();
+                      const Budget& b) {
+  // Every stage goes through the registry dispatcher.
   RouteRequest rq;
   rq.channel = &ch;
   rq.connections = &cs;
-  rq.context.occupancy = &scratch.occupancy_for(ch, fingerprint);
-  rq.dp_workspace = &scratch.dp();
   rq.options.max_segments = o.max_segments;
   // Stages without weight support route for feasibility and are scored
   // externally (total_weight below) — a weighted request would be
@@ -141,10 +135,11 @@ RouteReport robust_route(const SegmentedChannel& ch, const ConnectionSet& cs,
 
   const std::vector<StageSpec> cascade =
       opts.stages.empty() ? default_cascade() : opts.stages;
-  // One index per call, built on the substrate actually routed — after
-  // fault application, so a degraded channel gets its own fingerprint.
-  // It keys the checkpoints and the scratch arenas.
-  const ChannelIndex index(*substrate);
+  // Checkpoints are keyed by the fingerprint of the substrate actually
+  // routed — after fault application, so a degraded channel gets its own.
+  // Computed only when there is a store to key.
+  const std::uint64_t substrate_fp =
+      opts.checkpoints ? fingerprint(*substrate) : 0;
   const RouteVerifier verifier(*substrate, cs);
 
   // Substrate-coordinate routing -> original-track coordinates.
@@ -165,7 +160,7 @@ RouteReport robust_route(const SegmentedChannel& ch, const ConnectionSet& cs,
   if (opts.checkpoints && !opts.weight) {
     VerifyOptions vo;
     vo.max_segments = opts.max_segments;
-    if (auto verified = opts.checkpoints->restore(index.fingerprint(),
+    if (auto verified = opts.checkpoints->restore(substrate_fp,
                                                   *substrate, cs, vo)) {
       report.success = true;
       report.winner = "checkpoint";
@@ -244,7 +239,7 @@ RouteReport robust_route(const SegmentedChannel& ch, const ConnectionSet& cs,
       const auto stage_t0 = Clock::now();
       RouteResult r;
       if (entry) {
-        r = run_stage(*entry, *substrate, cs, opts, b, index.fingerprint());
+        r = run_stage(*entry, *substrate, cs, opts, b);
       } else {
         r.fail(FailureKind::kInvalidInput,
                "unknown router \"" + spec.router + "\"");
@@ -392,7 +387,7 @@ RouteReport robust_route(const SegmentedChannel& ch, const ConnectionSet& cs,
     // needs back.
     if (opts.checkpoints) {
       opts.checkpoints->save(
-          index.fingerprint(), best_routing,
+          substrate_fp, best_routing,
           opts.weight ? std::optional<double>(best_weight) : std::nullopt,
           best_name);
     }

@@ -1,11 +1,11 @@
 #include "net/express.h"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "core/routing.h"
+#include "core/thread_scratch.h"
 
 namespace segroute::net {
 
@@ -149,8 +149,7 @@ NetworkReport offer_traffic(const SegmentedChannel& ch,
 }
 
 alg::RouteResult express_route(const SegmentedChannel& ch,
-                               const ConnectionSet& cs, int max_segments,
-                               const RouteContext& ctx) {
+                               const ConnectionSet& cs, int max_segments) {
   alg::RouteResult res;
   res.routing = Routing(cs.size());
   if (cs.max_right() > ch.width()) {
@@ -158,9 +157,9 @@ alg::RouteResult express_route(const SegmentedChannel& ch,
              "connections exceed channel width");
     return res;
   }
-  std::optional<Occupancy> local_occ;
-  Occupancy& occ = ctx.occupancy ? *ctx.occupancy : local_occ.emplace(ch);
-  if (ctx.occupancy) occ.reset();
+  ThreadScratch<Occupancy> scratch;
+  Occupancy& occ = scratch.get();
+  occ.rebind(ch);
   for (ConnId i : cs.sorted_by_left()) {
     const Connection& c = cs[i];
     TrackId best = kNoTrack;

@@ -82,11 +82,9 @@ NetworkReport offer_traffic(const SegmentedChannel& ch,
 /// feasible track with the fewest occupied segments (ties: shortest
 /// occupied length, then lowest track). With `max_segments` > 0,
 /// assignments occupying more segments are not considered. Heuristic —
-/// a kInfeasible failure means "gave up", not a proof. `ctx` optionally
-/// supplies a reusable Occupancy (reset here); results are bit-identical
-/// with and without it. Registered in alg::registry() as "express".
+/// a kInfeasible failure means "gave up", not a proof. Registered in
+/// alg::registry() as "express".
 alg::RouteResult express_route(const SegmentedChannel& ch,
-                               const ConnectionSet& cs, int max_segments = 0,
-                               const RouteContext& ctx = {});
+                               const ConnectionSet& cs, int max_segments = 0);
 
 }  // namespace segroute::net

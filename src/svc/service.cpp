@@ -180,7 +180,7 @@ std::future<SvcResponse> RoutingService::submit(SvcRequest req) {
     std::unique_lock<std::mutex> dl(dispatch_mu_, std::try_to_lock);
     if (dl.owns_lock()) {
       hit = engine_.cached(job.req.connections, route_options(job.req));
-      hit_fingerprint = engine_.index().fingerprint();
+      hit_fingerprint = engine_.fingerprint();
       t_hit = Clock::now();
     }
   }
@@ -315,7 +315,7 @@ void RoutingService::route_window(std::vector<Job>& window, std::uint64_t now) {
     opts[i] = route_options(window[i].req);
     (opts[i].budget.unlimited() ? pure_ix : budgeted_ix).push_back(i);
   }
-  const std::uint64_t fp = engine_.index().fingerprint();
+  const std::uint64_t fp = engine_.fingerprint();
   const auto answer = [&](std::size_t i, Clock::time_point t0,
                           alg::RouteResult result, bool cache_hit) {
     finish_job(window[i], routed(window[i], now, std::move(result), fp,
@@ -414,8 +414,8 @@ std::uint64_t RoutingService::open_session(const std::string& tenant,
   // The dispatch lock pins the substrate while the session copies it (a
   // concurrent rebind() would race the read).
   std::lock_guard<std::mutex> dl(dispatch_mu_);
-  Session session{tenant, engine_.index().fingerprint(),
-                  alg::OnlineRouter(engine_.index().channel(),
+  Session session{tenant, engine_.fingerprint(),
+                  alg::OnlineRouter(engine_.channel(),
                                     alg::OnlineRouter::Policy::BestFit,
                                     max_segments)};
   std::lock_guard<std::mutex> lk(queue_mu_);

@@ -251,5 +251,50 @@ TEST(Dp, StatsLevelsCountConnectionsPlusRoot) {
   EXPECT_EQ(r.stats.nodes_per_level.back(), 1u);
 }
 
+// A WeightFn may itself call dp_route. The outer call holds the thread's
+// workspace, so the nested call must run on its own: both results equal
+// their plain, un-nested counterparts. The inner instance is the larger
+// one, so sharing a workspace would regrow the arena under the outer call.
+TEST(Dp, NestedCallFromAWeightFnMatchesPlainCalls) {
+  const auto outer_ch = gen::staggered_segmentation(4, 16, 4);
+  std::mt19937_64 outer_rng(91);
+  const auto outer_cs = gen::routable_workload(outer_ch, 6, 4.0, outer_rng);
+  const auto inner_ch = gen::staggered_segmentation(6, 32, 8);
+  std::mt19937_64 inner_rng(92);
+  const auto inner_cs = gen::routable_workload(inner_ch, 12, 5.0, inner_rng);
+
+  const WeightFn base = weights::occupied_length();
+  DpOptions inner_opts;
+  inner_opts.weight = base;
+  const RouteResult inner_plain = dp_route(inner_ch, inner_cs, inner_opts);
+  ASSERT_TRUE(inner_plain.success);
+
+  int nested_calls = 0;
+  DpOptions outer_opts;
+  outer_opts.weight = [&](const SegmentedChannel& ch, const Connection& c,
+                          TrackId t) {
+    const RouteResult inner = dp_route(inner_ch, inner_cs, inner_opts);
+    ++nested_calls;
+    EXPECT_EQ(inner.success, inner_plain.success);
+    EXPECT_EQ(inner.weight, inner_plain.weight);
+    EXPECT_TRUE(inner.routing == inner_plain.routing);
+    EXPECT_EQ(inner.stats.total_nodes, inner_plain.stats.total_nodes);
+    EXPECT_EQ(inner.stats.nodes_per_level, inner_plain.stats.nodes_per_level);
+    return base(ch, c, t);
+  };
+  const RouteResult outer = dp_route(outer_ch, outer_cs, outer_opts);
+  ASSERT_GT(nested_calls, 0);
+
+  DpOptions plain_opts;
+  plain_opts.weight = base;
+  const RouteResult outer_plain = dp_route(outer_ch, outer_cs, plain_opts);
+  ASSERT_TRUE(outer_plain.success);
+  EXPECT_EQ(outer.success, outer_plain.success);
+  EXPECT_EQ(outer.weight, outer_plain.weight);
+  EXPECT_TRUE(outer.routing == outer_plain.routing);
+  EXPECT_EQ(outer.stats.total_nodes, outer_plain.stats.total_nodes);
+  EXPECT_EQ(outer.stats.nodes_per_level, outer_plain.stats.nodes_per_level);
+}
+
 }  // namespace
 }  // namespace segroute::alg

@@ -10,7 +10,6 @@
 #include "alg/dp.h"
 #include "core/channel_index.h"
 #include "core/routing.h"
-#include "engine/scratch.h"
 #include "gen/fixtures.h"
 #include "gen/segmentation.h"
 #include "gen/workload.h"
@@ -76,21 +75,27 @@ TEST(ChannelIndex, TypeClassesPartitionTheTracks) {
 
 TEST(ChannelIndex, FingerprintDistinguishesStructuralEdits) {
   const auto ch = gen::staggered_segmentation(6, 32, 8);
-  const ChannelIndex idx(ch);
-  EXPECT_EQ(idx.fingerprint(), ChannelIndex(ch).fingerprint());  // stable
+  const std::uint64_t fp = fingerprint(ch);
+  EXPECT_EQ(fp, fingerprint(gen::staggered_segmentation(6, 32, 8)));  // stable
+  EXPECT_EQ(ChannelIndex(ch).fingerprint(), fp);
+
+  // Pinned values: the service and chaos digests fold fingerprints in, so
+  // the hash itself must never drift.
+  EXPECT_EQ(fp, 0xea4e2a73f31bea04ull);
+  EXPECT_EQ(fingerprint(SegmentedChannel::identical(4, 16, {4, 8, 12})),
+            0x38425289d7260d57ull);
+  EXPECT_EQ(fingerprint(gen::progressive_segmentation(6, 24, 4, 2)),
+            0xddd28c4379f21e04ull);
 
   // Any structural perturbation moves the fingerprint.
-  EXPECT_NE(idx.fingerprint(),
-            ChannelIndex(gen::staggered_segmentation(7, 32, 8)).fingerprint());
-  EXPECT_NE(idx.fingerprint(),
-            ChannelIndex(gen::staggered_segmentation(6, 33, 8)).fingerprint());
-  EXPECT_NE(idx.fingerprint(),
-            ChannelIndex(gen::staggered_segmentation(6, 32, 7)).fingerprint());
+  EXPECT_NE(fp, fingerprint(gen::staggered_segmentation(7, 32, 8)));
+  EXPECT_NE(fp, fingerprint(gen::staggered_segmentation(6, 33, 8)));
+  EXPECT_NE(fp, fingerprint(gen::staggered_segmentation(6, 32, 7)));
 }
 
 TEST(ChannelIndex, FaultMaterializedChannelGetsDistinctFingerprint) {
   const auto ch = gen::staggered_segmentation(6, 32, 8);
-  const ChannelIndex idx(ch);
+  const std::uint64_t fp = fingerprint(ch);
   // A stuck-closed switch fuses two segments: structurally different
   // channel, so caches keyed by fingerprint can never serve pristine
   // answers for the degraded fabric.
@@ -99,7 +104,7 @@ TEST(ChannelIndex, FaultMaterializedChannelGetsDistinctFingerprint) {
   const auto degraded = harness::apply(ch, faults);
   ASSERT_TRUE(degraded.has_value());
   ASSERT_EQ(degraded->switches_fused, 1);
-  EXPECT_NE(idx.fingerprint(), ChannelIndex(degraded->channel).fingerprint());
+  EXPECT_NE(fp, fingerprint(degraded->channel));
 
   // A dead segment withdraws the track entirely — also a new fingerprint.
   const std::vector<harness::Fault> dead = {
@@ -107,7 +112,7 @@ TEST(ChannelIndex, FaultMaterializedChannelGetsDistinctFingerprint) {
   const auto withdrawn = harness::apply(ch, dead);
   ASSERT_TRUE(withdrawn.has_value());
   ASSERT_EQ(withdrawn->tracks_lost, 1);
-  EXPECT_NE(idx.fingerprint(), ChannelIndex(withdrawn->channel).fingerprint());
+  EXPECT_NE(fp, fingerprint(withdrawn->channel));
 }
 
 // --- Occupancy reuse ------------------------------------------------------
@@ -130,73 +135,6 @@ TEST(Occupancy, ResetAndRebindReuseTheWorkspace) {
   for (TrackId t = 0; t < other.num_tracks(); ++t) {
     EXPECT_TRUE(occ.fits(t, 1, other.width()));
   }
-}
-
-TEST(Scratch, SteadyStateHoldsNoNewMemoryAndCountsRebinds) {
-  const auto a = gen::staggered_segmentation(6, 32, 8);
-  const auto b = gen::staggered_segmentation(5, 20, 5);
-  const ChannelIndex ia(a), ib(b);
-  std::mt19937_64 rng(83);
-  std::vector<ConnectionSet> sets;
-  for (int i = 0; i < 4; ++i) {
-    sets.push_back(gen::routable_workload(a, 12, 5.0, rng));
-  }
-
-  Scratch scratch;
-  EXPECT_EQ(scratch.bytes_held(), 0u);
-  EXPECT_EQ(scratch.rebind_count(), 0u);
-  EXPECT_EQ(scratch.fingerprint(), 0u);
-
-  const auto route_all = [&] {
-    alg::DpOptions o;
-    o.weight = weights::occupied_length();
-    o.workspace = &scratch.dp();
-    for (const auto& cs : sets) {
-      const auto r = alg::dp_route(a, cs, o);
-      ASSERT_TRUE(r.success);
-    }
-    (void)scratch.occupancy_for(ia);
-  };
-
-  // Warm-up pass grows the arenas; every later pass must reuse them —
-  // the retained capacity (and thus heap traffic) is exactly flat.
-  route_all();
-  const std::size_t warm = scratch.bytes_held();
-  EXPECT_GT(warm, 0u);
-  EXPECT_EQ(scratch.rebind_count(), 1u);  // the first bind
-  EXPECT_EQ(scratch.fingerprint(), ia.fingerprint());
-  for (int pass = 0; pass < 3; ++pass) {
-    route_all();
-    EXPECT_EQ(scratch.bytes_held(), warm) << "pass=" << pass;
-    EXPECT_EQ(scratch.rebind_count(), 1u);
-  }
-
-  // A different channel rebinds (counted) — and returning to the first
-  // rebinds again rather than serving the wrong shape.
-  (void)scratch.occupancy_for(ib);
-  EXPECT_EQ(scratch.rebind_count(), 2u);
-  EXPECT_EQ(scratch.fingerprint(), ib.fingerprint());
-  (void)scratch.occupancy_for(ia);
-  EXPECT_EQ(scratch.rebind_count(), 3u);
-  EXPECT_EQ(scratch.fingerprint(), ia.fingerprint());
-}
-
-TEST(Scratch, OccupancyKeyedByFingerprintIsRebound) {
-  const auto a = gen::staggered_segmentation(4, 16, 4);
-  const auto b = gen::staggered_segmentation(5, 20, 5);
-  const ChannelIndex ia(a), ib(b);
-  Scratch scratch;
-  Occupancy& oa = scratch.occupancy_for(ia);
-  ASSERT_TRUE(oa.place(0, 1, 4, 0));
-  // Every lookup hands back a cleared workspace (same fingerprint reuses
-  // the rows in place, a new one rebinds them — either way no stale marks
-  // can leak between route calls).
-  Occupancy& oa2 = scratch.occupancy_for(ia);
-  EXPECT_EQ(&oa, &oa2);
-  EXPECT_TRUE(oa2.fits(0, 1, 4));
-  Occupancy& ob = scratch.occupancy_for(ib);
-  EXPECT_TRUE(ob.fits(0, 1, 4));
-  EXPECT_TRUE(ob.fits(4, 1, b.width()));
 }
 
 // --- BatchRouter cache ----------------------------------------------------
@@ -260,7 +198,7 @@ TEST(BatchRouter, PerturbedOptionsAndInstancesMiss) {
   // stale: fingerprints agree, but each router owns its cache; a
   // *different* channel yields a different fingerprint altogether.
   const auto other = gen::staggered_segmentation(6, 32, 4);
-  EXPECT_NE(router.index().fingerprint(), ChannelIndex(other).fingerprint());
+  EXPECT_NE(router.fingerprint(), fingerprint(other));
 }
 
 TEST(BatchRouter, LruEvictionRespectsCapacityBound) {
@@ -380,7 +318,7 @@ TEST(BatchRouter, RebindRoutesOnTheNewSubstrate) {
   const auto cs = gen::routable_workload(ch, 10, 5.0, rng);
 
   BatchRouter router(ch);
-  const std::uint64_t base_fp = router.index().fingerprint();
+  const std::uint64_t base_fp = router.fingerprint();
   const auto base = router.route(cs);
   ASSERT_TRUE(base.success);
 
@@ -390,7 +328,7 @@ TEST(BatchRouter, RebindRoutesOnTheNewSubstrate) {
       ch, {{harness::Fault::Kind::kSegmentDead, 0, 1}});
   ASSERT_TRUE(degraded.has_value());
   router.rebind(degraded->channel);
-  const std::uint64_t deg_fp = router.index().fingerprint();
+  const std::uint64_t deg_fp = router.fingerprint();
   EXPECT_NE(deg_fp, base_fp);
   const auto on_degraded = router.route(cs);
   EXPECT_TRUE(
@@ -411,14 +349,14 @@ TEST(BatchRouter, InvalidateEvictsOnlyTheMatchingFingerprint) {
   const auto cs = gen::routable_workload(ch, 10, 5.0, rng);
 
   BatchRouter router(ch);
-  const std::uint64_t base_fp = router.index().fingerprint();
+  const std::uint64_t base_fp = router.fingerprint();
   (void)router.route(cs);  // base entry
 
   const auto degraded = harness::apply(
       ch, {{harness::Fault::Kind::kSegmentDead, 0, 1}});
   ASSERT_TRUE(degraded.has_value());
   router.rebind(degraded->channel);
-  const std::uint64_t deg_fp = router.index().fingerprint();
+  const std::uint64_t deg_fp = router.fingerprint();
   (void)router.route(cs);  // degraded entry
   EXPECT_EQ(router.cache_stats().size, 2u);
 

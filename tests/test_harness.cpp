@@ -13,7 +13,7 @@
 #include "alg/exhaustive.h"
 #include "alg/greedy1.h"
 #include "alg/lp_route.h"
-#include "core/channel_index.h"
+#include "core/channel.h"
 #include "core/routing.h"
 #include "core/weights.h"
 #include "gen/suite.h"
@@ -314,8 +314,7 @@ TEST(FaultInjection, EmptyPlanRoundTripsBitIdentically) {
   ASSERT_EQ(out->kept_tracks.size(), 3u);
   for (TrackId t = 0; t < 3; ++t) EXPECT_EQ(out->kept_tracks[t], t);
   // The surviving channel is structurally bit-identical to the original.
-  EXPECT_EQ(ChannelIndex(ch).fingerprint(),
-            ChannelIndex(out->channel).fingerprint());
+  EXPECT_EQ(fingerprint(ch), fingerprint(out->channel));
 }
 
 TEST(FaultInjection, DuplicateFaultsCannotInflateTheCounters) {

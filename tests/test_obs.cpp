@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "alg/delta.h"
 #include "alg/dp.h"
 #include "core/weights.h"
 #include "engine/batch.h"
@@ -499,6 +500,53 @@ TEST(ObsRouting, RobustRouteEmitsOutcomeTaggedStageSpans) {
     }
   }
   EXPECT_TRUE(stage_found);
+#else
+  EXPECT_TRUE(session.events().empty());
+#endif
+}
+
+TEST(ObsRouting, FromScratchSpanTagsItsRegime) {
+  // t0: (1,4)(5,9); t1: (1,9). The greedy puts (2,8) on both t0 segments
+  // and (1,4) on t1, stranding (5,9): the DP answers that set.
+  const SegmentedChannel ch({Track(9, {4}), Track(9, {})});
+  ConnectionSet greedy_set;
+  greedy_set.add(2, 8);
+  greedy_set.add(1, 4);
+  ConnectionSet dp_set = greedy_set;
+  dp_set.add(5, 9);
+
+  TraceSession session;
+  ASSERT_TRUE(session.start());
+  const alg::CanonicalResult g = alg::from_scratch(ch, greedy_set, true, 0);
+  const alg::CanonicalResult d = alg::from_scratch(ch, dp_set, true, 0);
+  session.stop();
+  ASSERT_TRUE(g.result.success && d.result.success);
+  ASSERT_EQ(g.regime, alg::CanonicalRegime::kGreedy);
+  ASSERT_EQ(d.regime, alg::CanonicalRegime::kDp);
+
+#if SEGROUTE_OBS_ENABLED
+  const EventList& evs = session.events();
+  ASSERT_EQ(count_events(evs, "alg.from_scratch"), 2u);
+  std::vector<const TraceEvent*> spans;
+  for (const TraceEvent& e : evs) {
+    if (std::string("alg.from_scratch") == e.name) spans.push_back(&e);
+  }
+  std::sort(spans.begin(), spans.end(),
+            [](const TraceEvent* a, const TraceEvent* b) {
+              return a->start_ns < b->start_ns;
+            });
+  EXPECT_STREQ(spans[0]->tag_key, "regime");
+  EXPECT_STREQ(spans[0]->tag_str, "greedy");
+  EXPECT_STREQ(spans[1]->tag_key, "regime");
+  EXPECT_STREQ(spans[1]->tag_str, "dp");
+  // The DP fallback runs inside the span that reports it (through the
+  // registry's alg.route span).
+  const TraceEvent* dp = find_event(evs, "alg.dp_route");
+  ASSERT_NE(dp, nullptr);
+  const TraceEvent* via = find_event(evs, "alg.route");
+  ASSERT_NE(via, nullptr);
+  EXPECT_EQ(dp->parent, via->id);
+  EXPECT_EQ(via->parent, spans[1]->id);
 #else
   EXPECT_TRUE(session.events().empty());
 #endif

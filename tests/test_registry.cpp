@@ -19,10 +19,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alg/dp.h"
@@ -283,35 +285,50 @@ TEST(Registry, BitIdenticalToLegacyWrappers) {
   }
 }
 
-// With shared scratch in the request (the engine's steady state), results
-// still match the context-free path bit for bit — for every router that
-// takes a shared Occupancy or DpWorkspace (match1 ignores both). One
-// Occupancy and one workspace serve every router on a fixture in turn, so
-// stale state would leak between calls.
-TEST(Registry, SharedContextDoesNotChangeResults) {
+// Routers keep their scratch in a per-thread workspace (core/thread_scratch.h)
+// that outlives each call. Reusing it must never show in a result: one
+// thread routes every fixture with each scratch-keeping router, sizes
+// alternating largest/smallest so the workspace grows and shrinks between
+// calls, and each result must equal the same request on a fresh thread,
+// whose workspace has never been used.
+TEST(Registry, ThreadScratchMatchesAFreshThread) {
+  std::vector<Fixture> all = fixtures();
+  for (auto& inst : gen::standard_suite()) {
+    all.push_back({inst.name, inst.channel, inst.connections});
+  }
+  const auto size_of = [](const Fixture& f) {
+    return static_cast<long>(f.channel.num_tracks()) * f.channel.width();
+  };
+  std::stable_sort(all.begin(), all.end(),
+                   [&](const Fixture& a, const Fixture& b) {
+                     return size_of(a) < size_of(b);
+                   });
+  std::vector<const Fixture*> order;
+  for (std::size_t lo = 0, hi = all.size(); lo < hi;) {
+    order.push_back(&all[--hi]);
+    if (lo < hi) order.push_back(&all[lo++]);
+  }
+
   const auto w = weights::occupied_length();
-  for (const Fixture& f : fixtures()) {
-    Occupancy occ(f.channel);
-    DpWorkspace ws;
-    for (const char* name :
-         {"dp", "greedy1", "match1", "left_edge", "partial", "express"}) {
-      RouteRequest plain;
-      plain.channel = &f.channel;
-      plain.connections = &f.connections;
-      if (std::string(name) == "dp") plain.options.weight = w;
-      RouteRequest shared = plain;
-      shared.context.occupancy = &occ;
-      shared.dp_workspace = &ws;
-      const auto a = route(name, plain);
-      const auto b = route(name, shared);
-      EXPECT_EQ(a.success, b.success) << f.name << " / " << name;
-      EXPECT_EQ(a.failure, b.failure) << f.name << " / " << name;
-      EXPECT_EQ(a.weight, b.weight) << f.name << " / " << name;
-      EXPECT_TRUE(a.routing == b.routing) << f.name << " / " << name;
-      ASSERT_EQ(a.unrouted.size(), b.unrouted.size()) << f.name << " / " << name;
+  for (const Fixture* f : order) {
+    for (const char* name : {"dp", "greedy1", "left_edge", "express",
+                             "partial"}) {
+      RouteRequest rq;
+      rq.channel = &f->channel;
+      rq.connections = &f->connections;
+      if (std::string(name) == "dp") rq.options.weight = w;
+      const RouteResult a = route(name, rq);
+      RouteResult b;
+      std::thread([&] { b = route(name, rq); }).join();
+      const std::string at = f->name + " / " + name;
+      EXPECT_EQ(a.success, b.success) << at;
+      EXPECT_EQ(a.failure, b.failure) << at;
+      EXPECT_EQ(a.weight, b.weight) << at;
+      EXPECT_TRUE(a.routing == b.routing) << at;
+      ASSERT_EQ(a.unrouted.size(), b.unrouted.size()) << at;
       for (std::size_t u = 0; u < a.unrouted.size(); ++u) {
-        EXPECT_EQ(a.unrouted[u].conn, b.unrouted[u].conn) << f.name << " / " << name;
-        EXPECT_EQ(a.unrouted[u].kind, b.unrouted[u].kind) << f.name << " / " << name;
+        EXPECT_EQ(a.unrouted[u].conn, b.unrouted[u].conn) << at;
+        EXPECT_EQ(a.unrouted[u].kind, b.unrouted[u].kind) << at;
       }
     }
   }

@@ -13,7 +13,7 @@
 #include "alg/dp.h"
 #include "alg/partial.h"
 #include "alg/registry.h"
-#include "core/channel_index.h"
+#include "core/channel.h"
 #include "core/routing.h"
 #include "core/weights.h"
 #include "engine/batch.h"
@@ -57,26 +57,26 @@ struct Overloaded {
 
 TEST(Checkpoint, SaveFindRestoreRoundTrip) {
   Fixture f;
-  const ChannelIndex idx(f.ch);
+  const std::uint64_t fp = fingerprint(f.ch);
   const auto r = alg::dp_route_unlimited(f.ch, f.cs);
   ASSERT_TRUE(r.success);
 
   CheckpointStore store;
-  store.save(idx.fingerprint(), r.routing, std::nullopt, "dp");
+  store.save(fp, r.routing, std::nullopt, "dp");
 
-  const auto found = store.find(idx.fingerprint());
+  const auto found = store.find(fp);
   ASSERT_TRUE(found.has_value());
   EXPECT_TRUE(found->routing == r.routing);
   EXPECT_EQ(found->source, "dp");
   EXPECT_FALSE(found->has_weight);
 
-  const auto restored = store.restore(idx.fingerprint(), f.ch, f.cs);
+  const auto restored = store.restore(fp, f.ch, f.cs);
   ASSERT_TRUE(restored.has_value());
   EXPECT_TRUE(restored->routing == r.routing);
 
-  EXPECT_FALSE(store.find(idx.fingerprint() + 1).has_value());
-  store.invalidate(idx.fingerprint());
-  EXPECT_FALSE(store.find(idx.fingerprint()).has_value());
+  EXPECT_FALSE(store.find(fp + 1).has_value());
+  store.invalidate(fp);
+  EXPECT_FALSE(store.find(fp).has_value());
 
   const auto s = store.stats();
   EXPECT_EQ(s.saves, 1u);
@@ -87,7 +87,7 @@ TEST(Checkpoint, SaveFindRestoreRoundTrip) {
 
 TEST(Checkpoint, RestoreRejectsACorruptCheckpoint) {
   Fixture f;
-  const ChannelIndex idx(f.ch);
+  const std::uint64_t fp = fingerprint(f.ch);
   // Connections 0 and 2 overlap in columns 2..4; same track = overlap.
   Routing corrupt(f.cs.size());
   corrupt.assign(0, 0);
@@ -95,29 +95,29 @@ TEST(Checkpoint, RestoreRejectsACorruptCheckpoint) {
   corrupt.assign(2, 0);
 
   CheckpointStore store;
-  store.save(idx.fingerprint(), corrupt, std::nullopt, "corrupt");
-  EXPECT_FALSE(store.restore(idx.fingerprint(), f.ch, f.cs).has_value());
+  store.save(fp, corrupt, std::nullopt, "corrupt");
+  EXPECT_FALSE(store.restore(fp, f.ch, f.cs).has_value());
   // The rejected checkpoint is dropped, not handed out again.
-  EXPECT_FALSE(store.find(idx.fingerprint()).has_value());
+  EXPECT_FALSE(store.find(fp).has_value());
   EXPECT_EQ(store.stats().rejected, 1u);
 }
 
 TEST(Checkpoint, SaveKeepsTheLowerWeight) {
   Fixture f;
-  const ChannelIndex idx(f.ch);
+  const std::uint64_t fp = fingerprint(f.ch);
   const auto r = alg::dp_route_unlimited(f.ch, f.cs);
   ASSERT_TRUE(r.success);
 
   CheckpointStore store;
-  store.save(idx.fingerprint(), r.routing, 10.0, "a");
-  store.save(idx.fingerprint(), r.routing, 20.0, "b");  // worse: kept out
-  auto c = store.find(idx.fingerprint());
+  store.save(fp, r.routing, 10.0, "a");
+  store.save(fp, r.routing, 20.0, "b");  // worse: kept out
+  auto c = store.find(fp);
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->source, "a");
   EXPECT_DOUBLE_EQ(c->weight, 10.0);
 
-  store.save(idx.fingerprint(), r.routing, 5.0, "c");  // better: replaces
-  c = store.find(idx.fingerprint());
+  store.save(fp, r.routing, 5.0, "c");  // better: replaces
+  c = store.find(fp);
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->source, "c");
   EXPECT_DOUBLE_EQ(c->weight, 5.0);
@@ -443,7 +443,8 @@ TEST(ChaosSoak, BitIdenticalAcrossThreadCountsAndDistinctAcrossSeeds) {
 // Edits interleaved with fault storms: the OnlineRouter edit stream
 // stays bit-identical to from_scratch() every cycle (edit_mismatches ==
 // 0 feeds report.ok), folds into the digest deterministically across
-// thread counts, and is carried mostly by the localized repair path.
+// thread counts, and is carried mostly by the canonical greedy (the
+// kRepair path).
 TEST(ChaosSoak, EditStreamInterleavesDeterministically) {
   std::mt19937_64 rng(23);
   const auto ch = gen::staggered_segmentation(6, 24, 6);

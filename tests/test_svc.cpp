@@ -23,7 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "alg/delta.h"
-#include "core/channel_index.h"
+#include "core/channel.h"
 #include "core/routing.h"
 #include "core/track.h"
 #include "engine/batch.h"
@@ -574,7 +574,7 @@ TEST(SvcLiveEdit, RouteManyRacesInvalidate) {
   engine::BatchOptions bo;
   bo.threads = 4;
   engine::BatchRouter br(ch, bo);
-  const std::uint64_t fp = br.index().fingerprint();
+  const std::uint64_t fp = br.fingerprint();
 
   std::mt19937_64 rng(23);
   std::vector<ConnectionSet> batch;
@@ -613,8 +613,8 @@ TEST(SvcLiveEdit, RebindQuiescesLiveService) {
   // against the substrate (by fingerprint) it was computed on.
   const SegmentedChannel ch1 = test_channel();
   const SegmentedChannel ch2 = gen::staggered_segmentation(8, 64, 6);
-  const std::uint64_t fp1 = ChannelIndex(ch1).fingerprint();
-  const std::uint64_t fp2 = ChannelIndex(ch2).fingerprint();
+  const std::uint64_t fp1 = fingerprint(ch1);
+  const std::uint64_t fp2 = fingerprint(ch2);
   ASSERT_NE(fp1, fp2);
 
   svc::SvcOptions o;
@@ -823,7 +823,7 @@ TEST(SvcSessions, UnknownForeignAndClosedSessionsAreRejected) {
 TEST(SvcSessions, SessionsPinTheirSubstrateAcrossRebind) {
   const SegmentedChannel ch1 = test_channel();
   const SegmentedChannel ch2 = gen::staggered_segmentation(8, 64, 6);
-  const std::uint64_t fp1 = ChannelIndex(ch1).fingerprint();
+  const std::uint64_t fp1 = fingerprint(ch1);
   svc::SvcOptions o;
   svc::RoutingService svc(ch1, o);
   const std::uint64_t sid = svc.open_session("alice");
