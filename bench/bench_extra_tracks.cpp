@@ -2,7 +2,6 @@
 // needs only a few tracks more than a freely customized one. Series:
 // average minimum tracks vs workload size for each segmentation scheme,
 // with the density (= conventional channel tracks) as the baseline.
-#include <functional>
 #include <iostream>
 #include <random>
 
@@ -13,11 +12,10 @@ using namespace segroute;
 namespace {
 
 int min_tracks(const ConnectionSet& cs, int limit,
-               const std::function<SegmentedChannel(int)>& make) {
-  for (int t = std::max(1, cs.density()); t <= limit; ++t) {
-    if (alg::dp_route_unlimited(make(t), cs).success) return t;
-  }
-  return limit + 1;
+               const alg::ChannelFactory& make) {
+  alg::CapacityOptions o;
+  o.track_limit = limit;
+  return alg::min_tracks(cs, make, o).value_or(limit + 1);
 }
 
 }  // namespace

@@ -11,15 +11,11 @@ using namespace segroute;
 namespace {
 
 int min_tracks_for(const ConnectionSet& cs, int limit,
-                   const std::function<SegmentedChannel(int)>& make,
-                   int max_segments = 0) {
-  for (int t = 1; t <= limit; ++t) {
-    const auto ch = make(t);
-    alg::DpOptions o;
-    o.max_segments = max_segments;
-    if (alg::dp_route(ch, cs, o).success) return t;
-  }
-  return -1;
+                   const alg::ChannelFactory& make, int max_segments = 0) {
+  alg::CapacityOptions o;
+  o.max_segments = max_segments;
+  o.track_limit = limit;
+  return alg::min_tracks(cs, make, o).value_or(-1);
 }
 
 }  // namespace

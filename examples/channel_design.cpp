@@ -14,13 +14,12 @@ using namespace segroute;
 
 namespace {
 
-/// Smallest T such that `make(T)` routes `nets`, found by linear scan.
-template <typename MakeChannel>
-int min_tracks(const ConnectionSet& nets, int limit, MakeChannel make) {
-  for (int t = std::max(1, nets.density()); t <= limit; ++t) {
-    if (alg::dp_route_unlimited(make(t), nets).success) return t;
-  }
-  return -1;
+/// Smallest T <= limit such that `make(T)` routes `nets`, or -1.
+int min_tracks(const ConnectionSet& nets, int limit,
+               const alg::ChannelFactory& make) {
+  alg::CapacityOptions o;
+  o.track_limit = limit;
+  return alg::min_tracks(nets, make, o).value_or(-1);
 }
 
 }  // namespace

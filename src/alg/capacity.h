@@ -3,25 +3,19 @@
 // need?", "how much load does this channel take?") — the engineering
 // loop behind the companion papers [10], [11] and this paper's Fig. 2.
 //
-// Parallelism and determinism. Every search in this header evaluates
-// independent DP probes, so all of them accept a thread count through
-// CapacityOptions::threads. The contract is strict determinism: for a
-// fixed input (and, for routability, a fixed master RNG state) the
-// result is bit-identical for every thread count, including 1.
-//  - routability: the master RNG emits exactly one seed per trial (in
-//    trial order) and each trial draws from its own seeded stream, so
-//    the sampled workloads do not depend on how trials are scheduled;
-//  - min_tracks / max_routable_prefix: with threads > 1 the binary
-//    search widens into a multisection search that evaluates several
-//    probe points per round; on a monotone predicate this returns the
-//    same answer as the serial bisection, it just burns the extra
-//    probes in parallel instead of waiting on one at a time.
+// Every probe is a direct call of the registry "dp" (exact), so each
+// answer is a true capacity. min_tracks and max_routable_prefix probe
+// serially; routability evaluates its trials on a thread pool with a
+// strict determinism contract: for a fixed master RNG state the result
+// is bit-identical for every thread count, including 1. The master RNG
+// emits exactly one seed per trial (in trial order) and each trial
+// draws from its own seeded stream, so the sampled workloads do not
+// depend on how trials are scheduled.
 #pragma once
 
 #include <functional>
 #include <optional>
 #include <random>
-#include <string>
 
 #include "alg/result.h"
 #include "core/channel.h"
@@ -38,45 +32,29 @@ struct CapacityOptions {
   int max_segments = 0;
   /// Upper bound on tracks tried before giving up.
   int track_limit = 128;
-  /// Worker threads for probe/trial evaluation. The library-wide
+  /// Worker threads for routability's trials. The library-wide
   /// convention (shared with engine::BatchOptions::threads,
   /// fpga::FabricOptions::threads and svc::SvcOptions::threads):
-  /// 1 = serial (the historical
-  /// behavior), N > 1 = fixed, and <= 0 = "auto" — resolved to
+  /// 1 = serial, N > 1 = fixed, and <= 0 = "auto" — resolved to
   /// util::hardware_threads(), the clamped hardware concurrency.
-  /// Results are bit-identical across all values (see file comment):
-  /// the static deterministic partitioning is unchanged by how the
-  /// count was chosen.
+  /// Results are bit-identical across all values (see file comment).
   int threads = 1;
-  /// Which registered router (alg::registry() name) answers "does it
-  /// route?" probes. The default exact DP gives true capacities; a
-  /// heuristic (e.g. "lp") trades a possible underestimate for speed —
-  /// sound for the prefix/routability searches because a heuristic
-  /// failure only shrinks the reported capacity, never inflates it.
-  /// Caution with min_tracks: a heuristic probe can break the
-  /// monotonicity that `assume_monotone` exploits.
-  std::string router = "dp";
 };
 
-/// Smallest track count for which `make(t)` routes `cs` (probed with the
-/// registry router named in opts.router, default the exact DP), or
-/// nullopt if none within opts.track_limit. Routability is monotone in
-/// the track count for every factory produced by gen/segmentation.h
-/// (adding a track never removes capacity), so binary search applies —
-/// but monotonicity is NOT guaranteed for arbitrary factories (a factory
-/// may re-segment existing tracks as t grows), so a linear scan from the
-/// density lower bound is used unless `assume_monotone` is set. With
-/// opts.threads > 1 the scan evaluates batches of candidates (and the
-/// bisection becomes a multisection) concurrently.
+/// Smallest track count for which `make(t)` routes `cs`, or nullopt if
+/// none within opts.track_limit. A linear scan up from the density (no
+/// channel with fewer tracks routes): routability is monotone in the
+/// track count for the factories of gen/segmentation.h, but not for an
+/// arbitrary factory (one may re-segment existing tracks as t grows), so
+/// the scan does not bisect.
 std::optional<int> min_tracks(const ConnectionSet& cs, const ChannelFactory& make,
-                              const CapacityOptions& opts = {},
-                              bool assume_monotone = false);
+                              const CapacityOptions& opts = {});
 
 /// Largest prefix (in the given order) of `cs` that routes in `ch`.
 /// Monotone by construction — removing the last connection keeps the
-/// remaining prefix routable — so binary search is sound here. Each
-/// probe's prefix is sliced in one bulk construction from the stored
-/// connection vector (not rebuilt add-by-add).
+/// remaining prefix routable — so it bisects. Each probe's prefix is
+/// sliced in one bulk construction from the stored connection vector
+/// (not rebuilt add-by-add).
 int max_routable_prefix(const SegmentedChannel& ch, const ConnectionSet& cs,
                         const CapacityOptions& opts = {});
 

@@ -63,7 +63,7 @@ CanonicalResult from_scratch(const SegmentedChannel& ch,
   }
   if (greedy_ok) {
     out.result.success = true;
-    out.regime = CanonicalRegime::kGreedy;
+    out.path = RepairOutcome::Path::kRepair;
     SEGROUTE_SPAN_TAG(span, "regime", "greedy");
     return out;
   }
@@ -76,7 +76,7 @@ CanonicalResult from_scratch(const SegmentedChannel& ch,
   rq.options.max_segments = max_segments;
   rq.budget = budget;
   out.result = route("dp", rq);
-  out.regime = CanonicalRegime::kDp;
+  out.path = RepairOutcome::Path::kFullDp;
   SEGROUTE_SPAN_TAG(span, "regime", "dp");
   return out;
 }

@@ -104,23 +104,19 @@ struct RepairOutcome {
 
 const char* to_string(RepairOutcome::Path p);
 
-/// Which regime canonical(S) resolved to.
-enum class CanonicalRegime {
-  kGreedy = 0,  // the canonical greedy placed everything
-  kDp,          // greedy left a connection unplaced; DP routed S
-};
-
 /// canonical(S) computed from scratch: the canonical greedy in id order
 /// through best_fit_track (core/routing.h), then the registry "dp" when
 /// greedy strands a connection. `policy_best_fit` selects the least
 /// occupied length pick (the session default); false = FirstFit.
-/// On success `regime` says which branch of canonical() produced
-/// `result.routing`. Failure kinds: kInvalidInput for malformed spans
-/// or a negative `max_segments`, kInfeasible when neither greedy nor DP
+/// `path` says which branch of canonical() answered: kRepair when the
+/// greedy placed everything, kFullDp when the DP ran (its result is
+/// `result`, success or not), kNone when a malformed span or K was
+/// refused before the DP. Failure kinds: kInvalidInput for malformed spans or a
+/// negative `max_segments`, kInfeasible when neither greedy nor DP
 /// routes S, kBudgetExhausted when the DP fallback ran out of `budget`.
 struct CanonicalResult {
   RouteResult result;
-  CanonicalRegime regime = CanonicalRegime::kGreedy;
+  RepairOutcome::Path path = RepairOutcome::Path::kNone;
 };
 
 CanonicalResult from_scratch(const SegmentedChannel& ch,

@@ -55,11 +55,8 @@ RepairOutcome OnlineRouter::apply(const ChannelEdit& edit,
 
   const CanonicalResult canon = from_scratch(
       channel_, cs, policy_ == Policy::BestFit, max_segments_, budget);
+  out.path = canon.path;
   if (!canon.result.success) {
-    // kInvalidInput (a negative K) is refused before any routing runs.
-    out.path = canon.result.failure == FailureKind::kInvalidInput
-                   ? RepairOutcome::Path::kNone
-                   : RepairOutcome::Path::kFullDp;
     out.failure = canon.result.failure == FailureKind::kNone
                       ? FailureKind::kInternal
                       : canon.result.failure;
@@ -87,9 +84,6 @@ RepairOutcome OnlineRouter::apply(const ChannelEdit& edit,
   }
   out.id = target;
   out.success = true;
-  out.path = canon.regime == CanonicalRegime::kGreedy
-                 ? RepairOutcome::Path::kRepair
-                 : RepairOutcome::Path::kFullDp;
   return out;
 }
 

@@ -21,32 +21,19 @@ namespace segroute::alg {
 
 namespace {
 
+// Each adapter routes with its router's default options plus the
+// request's common knobs and budget.
+
 RouteResult route_dp(const RouteRequest& rq) {
   DpOptions o;
   o.max_segments = rq.options.max_segments;
   o.weight = rq.options.weight;
-  o.canonicalize_types = rq.options.param_bool("canonicalize_types", true);
-  o.max_total_nodes = static_cast<std::uint64_t>(
-      rq.options.param_int("max_total_nodes", 20'000'000));
   o.budget = rq.budget;
   return dp_route(*rq.channel, *rq.connections, o);
 }
 
 RouteResult route_greedy1(const RouteRequest& rq) {
-  const std::string tb = rq.options.param_str("tie_break", "lowest");
-  TieBreak tie;
-  if (tb == "lowest") {
-    tie = TieBreak::LowestTrack;
-  } else if (tb == "highest") {
-    tie = TieBreak::HighestTrack;
-  } else {
-    RouteResult res;
-    res.routing = Routing(rq.connections->size());
-    res.fail(FailureKind::kInvalidInput,
-             "greedy1: unknown tie_break \"" + tb + "\"");
-    return res;
-  }
-  return greedy1_route(*rq.channel, *rq.connections, tie);
+  return greedy1_route(*rq.channel, *rq.connections);
 }
 
 RouteResult route_match1(const RouteRequest& rq) {
@@ -69,12 +56,6 @@ RouteResult route_left_edge(const RouteRequest& rq) {
 RouteResult route_lp(const RouteRequest& rq) {
   LpRouteOptions o;
   o.max_segments = rq.options.max_segments;
-  o.max_rounding_passes =
-      static_cast<int>(rq.options.param_int("max_rounding_passes", 64));
-  o.tolerance = rq.options.param_double("tolerance", 1e-6);
-  o.objective_jitter = rq.options.param_double("objective_jitter", 1e-4);
-  o.jitter_seed = static_cast<std::uint64_t>(
-      rq.options.param_int("jitter_seed", 0x5e60e7eLL));
   o.budget = rq.budget;
   if (rq.options.weight) {
     return lp_route_optimal(*rq.channel, *rq.connections, *rq.options.weight,
@@ -86,11 +67,6 @@ RouteResult route_lp(const RouteRequest& rq) {
 RouteResult route_anneal(const RouteRequest& rq) {
   AnnealRouteOptions o;
   o.max_segments = rq.options.max_segments;
-  o.iterations = static_cast<int>(rq.options.param_int("iterations", 200000));
-  o.restarts = static_cast<int>(rq.options.param_int("restarts", 3));
-  o.t_start = rq.options.param_double("t_start", 2.0);
-  o.t_end = rq.options.param_double("t_end", 0.01);
-  o.seed = static_cast<std::uint64_t>(rq.options.param_int("seed", 0xa11ea1LL));
   o.budget = rq.budget;
   return anneal_route(*rq.channel, *rq.connections, o);
 }
@@ -98,8 +74,6 @@ RouteResult route_anneal(const RouteRequest& rq) {
 RouteResult route_branch_bound(const RouteRequest& rq) {
   BranchBoundOptions o;
   o.max_segments = rq.options.max_segments;
-  o.max_nodes = static_cast<std::uint64_t>(
-      rq.options.param_int("max_nodes", 50'000'000));
   o.budget = rq.budget;
   return branch_bound_route(*rq.channel, *rq.connections, *rq.options.weight,
                             o);
@@ -109,34 +83,20 @@ RouteResult route_exhaustive(const RouteRequest& rq) {
   ExhaustiveOptions o;
   o.max_segments = rq.options.max_segments;
   o.weight = rq.options.weight;
-  o.max_branches = static_cast<std::uint64_t>(
-      rq.options.param_int("max_branches", 50'000'000));
   o.budget = rq.budget;
   return exhaustive_route(*rq.channel, *rq.connections, o);
 }
 
 /// The edit session's canonical routing of a whole set (alg/delta.h):
-/// what an OnlineRouter that added the set in id order holds.
+/// what an OnlineRouter with the default best-fit policy that added the
+/// set in id order holds.
 RouteResult route_online(const RouteRequest& rq) {
-  const std::string policy = rq.options.param_str("policy", "best-fit");
-  bool best_fit;
-  if (policy == "best-fit") {
-    best_fit = true;
-  } else if (policy == "first-fit") {
-    best_fit = false;
-  } else {
-    RouteResult res;
-    res.routing = Routing(rq.connections->size());
-    res.fail(FailureKind::kInvalidInput,
-             "online: unknown policy \"" + policy + "\"");
-    return res;
-  }
   CanonicalResult cr =
-      from_scratch(*rq.channel, *rq.connections, best_fit,
+      from_scratch(*rq.channel, *rq.connections, /*policy_best_fit=*/true,
                    rq.options.max_segments, rq.budget);
   if (cr.result.success && cr.result.note.empty()) {
-    cr.result.note = cr.regime == CanonicalRegime::kGreedy ? "regime=greedy"
-                                                           : "regime=dp";
+    cr.result.note = cr.path == RepairOutcome::Path::kRepair ? "regime=greedy"
+                                                             : "regime=dp";
   }
   return cr.result;
 }

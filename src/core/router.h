@@ -13,8 +13,8 @@
 //     router reads its segments straight from SegmentedChannel/Track and
 //     keeps its own per-thread scratch (core/thread_scratch.h);
 //   - RouterOptions: the common knobs (K-segment limit, optimization
-//     weight) plus a string-keyed parameter map for router-specific
-//     extras (tie-break policy, annealing schedule, node caps);
+//     weight); each router runs with its own options struct at its
+//     defaults otherwise;
 //   - a harness::Budget bounding the call.
 //
 // Routers consume a request through alg/registry.h, which maps names
@@ -24,11 +24,7 @@
 // FailureKind::kInvalidInput.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <optional>
-#include <string>
-#include <variant>
 
 #include "core/channel.h"
 #include "core/connection.h"
@@ -37,10 +33,10 @@
 
 namespace segroute {
 
-/// The common routing knobs plus a string-keyed escape hatch for
-/// router-specific parameters. Unknown keys are ignored by routers that
-/// do not understand them, so one options object can be broadcast to a
-/// whole portfolio.
+/// The routing knobs every router understands. Router-specific
+/// settings (tie-break policy, annealing schedule, node caps) stay at the
+/// defaults of each router's own options struct; a caller that needs
+/// another value calls that router's free function directly.
 struct RouterOptions {
   /// 0 = unlimited-segment routing (Problem 1); K > 0 = K-segment
   /// routing (Problem 2). Routers that only solve K = 1 (see
@@ -53,49 +49,6 @@ struct RouterOptions {
   /// RouterCaps::supports_weight reject a weighted request as
   /// kInvalidInput rather than silently ignoring the objective.
   std::optional<WeightFn> weight;
-
-  /// Router-specific extras. Documented per registry entry; e.g.
-  /// "tie_break" ("lowest"/"highest") for greedy1, "restarts"/"seed" for
-  /// anneal, "policy" ("best-fit"/"first-fit") for online.
-  using Param = std::variant<bool, std::int64_t, double, std::string>;
-  std::map<std::string, Param> params;
-
-  /// Typed parameter lookups; a missing key or a type mismatch yields
-  /// the fallback (routers never throw over a malformed extra).
-  [[nodiscard]] std::int64_t param_int(const std::string& key,
-                                       std::int64_t fallback) const {
-    const auto it = params.find(key);
-    if (it == params.end()) return fallback;
-    if (const auto* v = std::get_if<std::int64_t>(&it->second)) return *v;
-    if (const auto* b = std::get_if<bool>(&it->second)) return *b ? 1 : 0;
-    return fallback;
-  }
-  [[nodiscard]] double param_double(const std::string& key,
-                                    double fallback) const {
-    const auto it = params.find(key);
-    if (it == params.end()) return fallback;
-    if (const auto* v = std::get_if<double>(&it->second)) return *v;
-    if (const auto* i = std::get_if<std::int64_t>(&it->second)) {
-      return static_cast<double>(*i);
-    }
-    return fallback;
-  }
-  [[nodiscard]] bool param_bool(const std::string& key, bool fallback) const {
-    const auto it = params.find(key);
-    if (it == params.end()) return fallback;
-    if (const auto* v = std::get_if<bool>(&it->second)) return *v;
-    if (const auto* i = std::get_if<std::int64_t>(&it->second)) {
-      return *i != 0;
-    }
-    return fallback;
-  }
-  [[nodiscard]] std::string param_str(const std::string& key,
-                                      std::string fallback) const {
-    const auto it = params.find(key);
-    if (it == params.end()) return fallback;
-    if (const auto* v = std::get_if<std::string>(&it->second)) return *v;
-    return fallback;
-  }
 };
 
 /// What a registered router can do and what input shapes it accepts.
@@ -155,7 +108,7 @@ struct RouteRequest {
   /// The connections to route. Required.
   const ConnectionSet* connections = nullptr;
 
-  /// The common knobs plus router-specific parameters.
+  /// The common knobs.
   RouterOptions options;
 
   /// Resource bounds for this call (default: unlimited).

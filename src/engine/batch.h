@@ -2,9 +2,8 @@
 // routing on one channel.
 //
 // FPGA-style workloads route the *same* segmented channel over and over
-// — capacity probes re-route under growing prefixes, the fabric router
-// re-routes every channel each negotiation round, Monte-Carlo
-// routability draws thousands of random connection sets. When instances
+// — the fabric router re-routes every channel part each negotiation
+// round, the routing service answers repeated requests. When instances
 // repeat, the direct path runs the whole DP again for an answer already
 // computed.
 //

@@ -16,6 +16,17 @@ namespace segroute::fpga {
 
 namespace {
 
+// Negotiation factors (fabric.h): the present-congestion factor P of the
+// assignment cost, the history increment per unit of overuse on a failed
+// channel's columns (PathFinder's h_n accumulation), the sub-gradient
+// step of the per-(channel, track-class) Lagrangian multipliers, and the
+// class utilization above which a routed channel's class is priced
+// (fraction of the class's member tracks).
+constexpr double kPresentFactor = 2.0;
+constexpr double kHistoryGain = 1.0;
+constexpr double kLambdaStep = 0.25;
+constexpr double kLambdaCapacitySlack = 0.9;
+
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
@@ -273,7 +284,7 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
           const int over =
               std::max(0, dc[static_cast<std::size_t>(col)] + 1 - tracks);
           cost += (1.0 + hc[static_cast<std::size_t>(col)]) *
-                  (1.0 + opts.present_factor * over);
+                  (1.0 + kPresentFactor * over);
         }
         if (cost < best_cost) {
           best_cost = cost;
@@ -312,13 +323,7 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
     for (int c = 0; c < C; ++c) {
       const ConnectionSet& cs = res.per_channel[static_cast<std::size_t>(c)];
       if (cs.empty()) continue;
-      std::vector<std::vector<ConnId>> parts;
-      if (opts.decompose) {
-        parts = alg::split_parts(sub, cs);
-      } else {
-        parts.emplace_back(static_cast<std::size_t>(cs.size()));
-        std::iota(parts.back().begin(), parts.back().end(), ConnId{0});
-      }
+      std::vector<std::vector<ConnId>> parts = alg::split_parts(sub, cs);
       // λ pricing only when the multipliers differentiate the classes —
       // a uniform λ shifts every complete routing equally and belongs to
       // the assignment cost alone.
@@ -326,7 +331,6 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
       const auto [lo_it, hi_it] = std::minmax_element(lc.begin(), lc.end());
       const bool priced = ntypes > 1 && *hi_it - *lo_it > 1e-12;
       engine::EngineRouteOptions eo;
-      eo.router = opts.router;
       eo.budget = channel_slice;
       if (channel_slice.max_ticks != 0 && parts.size() > 1) {
         eo.budget.max_ticks = std::max<std::uint64_t>(
@@ -416,13 +420,13 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
         for (int ty = 0; ty < ntypes; ++ty) {
           const double members =
               static_cast<double>(idx.tracks_of_type(ty).size());
-          const double cap = opts.lambda_capacity_slack * members;
+          const double cap = kLambdaCapacitySlack * members;
           double& l = lc[static_cast<std::size_t>(ty)];
           if (use[static_cast<std::size_t>(ty)] > cap) {
-            l += opts.lambda_step *
+            l += kLambdaStep *
                  (use[static_cast<std::size_t>(ty)] - cap) / members;
           } else {
-            l = std::max(0.0, l - 0.5 * opts.lambda_step);
+            l = std::max(0.0, l - 0.5 * kLambdaStep);
           }
         }
       } else {
@@ -434,7 +438,7 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
           const int over = dc[static_cast<std::size_t>(col)] - tracks;
           maxd = std::max(maxd, dc[static_cast<std::size_t>(col)]);
           if (over > 0) {
-            hc[static_cast<std::size_t>(col)] += opts.history_gain * over;
+            hc[static_cast<std::size_t>(col)] += kHistoryGain * over;
             had_over = true;
           }
         }
@@ -443,12 +447,12 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
           // yet routing failed, so pressure the densest window.
           for (Column col = 1; col <= width; ++col) {
             if (dc[static_cast<std::size_t>(col)] == maxd) {
-              hc[static_cast<std::size_t>(col)] += opts.history_gain;
+              hc[static_cast<std::size_t>(col)] += kHistoryGain;
             }
           }
         }
         // A failed channel also gets uniformly more expensive to enter.
-        for (double& l : lc) l += opts.lambda_step;
+        for (double& l : lc) l += kLambdaStep;
       }
     }
   }

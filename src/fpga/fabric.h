@@ -18,7 +18,8 @@
 //     2. ROUTE    all channels concurrently — each channel's connection
 //                 set is split at safe columns (alg/decompose) and every
 //                 part is a batch instance of one shared
-//                 engine::BatchRouter over the common substrate;
+//                 engine::BatchRouter over the common substrate,
+//                 routed by the exact DP (registry "dp");
 //     3. PRICE    update the congestion costs from the outcome:
 //                 column history for overused spans, per-(channel,
 //                 track-class) Lagrangian multipliers for scarce
@@ -37,7 +38,7 @@
 //   + len(n) * mean-lambda[c]
 //
 // where h is accumulated history, over(col) the would-be overuse versus
-// the track count, P = FabricOptions::present_factor, and lambda the
+// the track count, P = 2 the present-congestion factor, and lambda the
 // per-(channel, class) multipliers. Detailed routing minimizes
 // sum lambda[c][class(track)] over the chosen tracks whenever the
 // multipliers differentiate the classes — the Lagrangian term of the
@@ -84,30 +85,6 @@ struct FabricOptions {
   /// assignment (identical to route_independent), so a fabric that
   /// routes without negotiation converges in one iteration.
   int max_iterations = 16;
-
-  /// Present-congestion factor P in the assignment cost: each would-be
-  /// overused column multiplies its cost by (1 + P * overuse).
-  double present_factor = 2.0;
-
-  /// History increment per unit of overuse on a failed channel's
-  /// columns (PathFinder's h_n accumulation).
-  double history_gain = 1.0;
-
-  /// Sub-gradient step for the per-(channel, track-class) Lagrangian
-  /// multipliers.
-  double lambda_step = 0.25;
-
-  /// Class utilization above which a successfully routed channel's
-  /// class is priced (fraction of the class's member tracks).
-  double lambda_capacity_slack = 0.9;
-
-  /// Registry router that routes each channel part ("dp" = exact).
-  std::string router = "dp";
-
-  /// Split each channel's connection set at safe columns
-  /// (alg::split_parts) and route the parts as independent batch
-  /// instances — more parallel grains and better memo-cache reuse.
-  bool decompose = true;
 
   /// Engine memo cache over the shared substrate.
   bool use_cache = true;

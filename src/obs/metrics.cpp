@@ -179,9 +179,6 @@ void Registry::reset() {
   for (auto& [name, h] : im.histograms) h->reset();
 }
 
-namespace {
-
-/// Prometheus metric name: [a-zA-Z0-9_] only, `segroute_` prefix.
 std::string prom_name(const std::string& name) {
   std::string out = "segroute_";
   for (char c : name) {
@@ -191,6 +188,8 @@ std::string prom_name(const std::string& name) {
   }
   return out;
 }
+
+namespace {
 
 std::string num(double v) {
   std::ostringstream os;

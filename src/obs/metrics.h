@@ -166,6 +166,10 @@ struct MetricsSnapshot {
   std::vector<std::pair<std::string, Histogram::Snapshot>> histograms;
 };
 
+/// A metric's name in the Prometheus exposition: `segroute_` prefix,
+/// every character outside [a-zA-Z0-9] replaced by '_'.
+std::string prom_name(const std::string& name);
+
 /// The process-wide registry. Registration takes a mutex (amortized
 /// away by the static-reference idiom); updates touch only the metric's
 /// own shards.

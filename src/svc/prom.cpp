@@ -77,16 +77,6 @@ double PromText::value_or(std::string_view name, double fallback) const {
   return s ? s->value : fallback;
 }
 
-std::string prom_sanitized_name(const std::string& name) {
-  std::string out = "segroute_";
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9');
-    out.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
 PromText parse_prometheus_text(std::string_view text) {
   PromText out;
   std::string_view line;
@@ -185,7 +175,7 @@ std::string check_exposition(std::string_view text,
   }
 
   for (const auto& [name, v] : snap.counters) {
-    const std::string pn = prom_sanitized_name(name);
+    const std::string pn = obs::prom_name(name);
     const PromSample* s = parsed.find(pn);
     if (!s) return "missing counter " + pn;
     if (!close_enough(s->value, static_cast<double>(v))) {
@@ -193,13 +183,13 @@ std::string check_exposition(std::string_view text,
     }
   }
   for (const auto& [name, v] : snap.gauges) {
-    const std::string pn = prom_sanitized_name(name);
+    const std::string pn = obs::prom_name(name);
     const PromSample* s = parsed.find(pn);
     if (!s) return "missing gauge " + pn;
     if (!close_enough(s->value, v)) return "gauge " + pn + " value mismatch";
   }
   for (const auto& [name, h] : snap.histograms) {
-    const std::string pn = prom_sanitized_name(name);
+    const std::string pn = obs::prom_name(name);
     // Buckets, in exposition order, must be cumulative and end at +Inf
     // with the series total.
     double prev = 0.0;

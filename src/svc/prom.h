@@ -5,8 +5,9 @@
 // scraper, far from the bug. This parser closes the loop in-process:
 // the smoke tests and bench drivers parse the exact bytes the endpoint
 // serves and cross-check every sample against a registry snapshot —
-// names sanitized the same way, counter/gauge values equal, histogram
-// buckets cumulative and consistent with their _sum/_count series.
+// names sanitized by the registry's own obs::prom_name, counter/gauge
+// values equal, histogram buckets cumulative and consistent with their
+// _sum/_count series.
 //
 // The parser accepts the subset the registry emits (and any conformant
 // superset): `# TYPE`/`# HELP` comments, bare samples, and samples with
@@ -57,10 +58,5 @@ PromText parse_prometheus_text(std::string_view text);
 /// Returns the empty string when consistent, else the first mismatch.
 std::string check_exposition(std::string_view text,
                              const obs::MetricsSnapshot& snap);
-
-/// The registry's sanitized exposition name for a metric (`segroute_`
-/// prefix, non-alphanumerics replaced by '_') — mirrors the private
-/// helper in obs/metrics.cpp so checks can predict names.
-std::string prom_sanitized_name(const std::string& name);
 
 }  // namespace segroute::svc

@@ -1,12 +1,11 @@
 // ThreadPool: a small fixed pool for deterministic fork-join parallelism.
 //
-// The parallel layers built on top of it (alg::routability trials,
-// capacity probe evaluation, the batch engine, the parallel bench
-// drivers) all follow one contract: split the work into
-// independent indices, give each index its own state (seeded RNG stream,
-// output slot), and join. Under that contract the *result* is a pure
-// function of the inputs — bit-identical for every thread count,
-// including 1 — and only the wall-clock changes.
+// The parallel layers built on top of it (alg::routability trials, the
+// batch engine, the parallel bench drivers) all follow one contract:
+// split the work into independent indices, give each index its own state
+// (seeded RNG stream, output slot), and join. Under that contract the
+// *result* is a pure function of the inputs — bit-identical for every
+// thread count, including 1 — and only the wall-clock changes.
 //
 // Partitioning is static and deterministic: for parallel_for(n) on a
 // pool of W threads, thread w handles the contiguous block

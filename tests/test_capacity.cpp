@@ -35,26 +35,6 @@ TEST(Capacity, MinTracksRespectsTheSegmentLimit) {
   EXPECT_FALSE(r.has_value());
 }
 
-TEST(Capacity, MinTracksLinearAndBinarySearchAgree) {
-  std::mt19937_64 rng(151);
-  for (int iter = 0; iter < 20; ++iter) {
-    const auto cs = gen::geometric_workload(
-        4 + static_cast<int>(rng() % 10), 30, 5.0, rng);
-    // staggered_segmentation is monotone in the track count: tracks keep
-    // their grids as more are added? Not exactly (offsets shift), so
-    // compare against the definitely-monotone identical-grid factory.
-    const auto make = [](int t) {
-      return SegmentedChannel::identical(t, 30, {5, 10, 15, 20, 25});
-    };
-    const auto lin = min_tracks(cs, make);
-    const auto bin = min_tracks(cs, make, {}, /*assume_monotone=*/true);
-    ASSERT_EQ(lin.has_value(), bin.has_value()) << "iter " << iter;
-    if (lin) {
-      EXPECT_EQ(*lin, *bin) << "iter " << iter;
-    }
-  }
-}
-
 TEST(Capacity, MinTracksNeverBelowDensity) {
   std::mt19937_64 rng(152);
   for (int iter = 0; iter < 15; ++iter) {
@@ -77,6 +57,22 @@ TEST(Capacity, TrackLimitReturnsNullopt) {
   EXPECT_FALSE(min_tracks(cs, [](int t) {
     return SegmentedChannel::unsegmented(t, 4);
   }, o).has_value());
+}
+
+TEST(Capacity, MinTracksRespectsTrackLimit) {
+  // Dense overlapping workload that cannot fit in 3 tracks.
+  ConnectionSet cs;
+  for (int i = 0; i < 8; ++i) cs.add(1, 24);
+  const ChannelFactory make = [](int t) {
+    return gen::uniform_segmentation(t, 24, 24);
+  };
+  CapacityOptions o;
+  o.track_limit = 3;
+  EXPECT_FALSE(min_tracks(cs, make, o).has_value());
+  o.track_limit = 128;
+  const auto got = min_tracks(cs, make, o);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, 8);
 }
 
 TEST(Capacity, MaxRoutablePrefixIsTight) {

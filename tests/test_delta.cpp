@@ -337,8 +337,8 @@ TEST(DeltaSuite, MoveRelocatesTheConnection) {
   EXPECT_EQ(oracle(ch, cs, 0).routing, routing);
 }
 
-// The "online" registry entry: exact + K-capable, policy-checked, and
-// the routing a session holds after adding the set in id order.
+// The "online" registry entry: exact + K-capable, and the routing a
+// best-fit session holds after adding the set in id order.
 TEST(DeltaSuite, RegistryEntryServesTheReference) {
   const RouterEntry* e = find_router("online");
   ASSERT_NE(e, nullptr);
@@ -362,11 +362,6 @@ TEST(DeltaSuite, RegistryEntryServesTheReference) {
     ASSERT_TRUE(session.apply(ChannelEdit::add(c.left, c.right)).success);
   }
   EXPECT_EQ(rr.routing, session.snapshot().second);
-
-  rq.options.params["policy"] = std::string("sideways");
-  const RouteResult bad = route("online", rq);
-  EXPECT_FALSE(bad.success);
-  EXPECT_EQ(bad.failure, FailureKind::kInvalidInput);
 }
 
 }  // namespace

@@ -521,8 +521,8 @@ TEST(ObsRouting, FromScratchSpanTagsItsRegime) {
   const alg::CanonicalResult d = alg::from_scratch(ch, dp_set, true, 0);
   session.stop();
   ASSERT_TRUE(g.result.success && d.result.success);
-  ASSERT_EQ(g.regime, alg::CanonicalRegime::kGreedy);
-  ASSERT_EQ(d.regime, alg::CanonicalRegime::kDp);
+  ASSERT_EQ(g.path, alg::RepairOutcome::Path::kRepair);
+  ASSERT_EQ(d.path, alg::RepairOutcome::Path::kFullDp);
 
 #if SEGROUTE_OBS_ENABLED
   const EventList& evs = session.events();

@@ -1,6 +1,7 @@
-// Tests for the parallel layer (util::ThreadPool + the threaded capacity
-// searches) and the DP stats-on-every-exit contract. The load-bearing
-// property throughout: results are bit-identical across thread counts.
+// Tests for the parallel layer (util::ThreadPool + the threaded
+// routability estimate) and the DP stats-on-every-exit contract. The
+// load-bearing property throughout: results are bit-identical across
+// thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -108,77 +109,6 @@ TEST(ParallelCapacity, RoutabilityBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(next_draw[0], next_draw[2]);
   EXPECT_GT(rates[0], 0.0);
   EXPECT_LT(rates[0], 1.0);  // workload chosen so the answer is informative
-}
-
-TEST(ParallelCapacity, MinTracksParallelMatchesSerial) {
-  std::mt19937_64 rng(77);
-  const auto cs = gen::geometric_workload(10, 24, 5.0, rng);
-  const alg::ChannelFactory make = [](int t) {
-    return gen::staggered_segmentation(t, 24, 6);
-  };
-  for (bool monotone : {false, true}) {
-    CapacityOptions serial;
-    serial.threads = 1;
-    const auto want = alg::min_tracks(cs, make, serial, monotone);
-    for (int w : {2, 3, 8}) {
-      CapacityOptions o;
-      o.threads = w;
-      const auto got = alg::min_tracks(cs, make, o, monotone);
-      ASSERT_EQ(want.has_value(), got.has_value())
-          << "w=" << w << " monotone=" << monotone;
-      if (want) {
-        EXPECT_EQ(*want, *got) << "w=" << w << " monotone=" << monotone;
-      }
-    }
-  }
-}
-
-TEST(ParallelCapacity, MinTracksRespectsTrackLimit) {
-  std::mt19937_64 rng(78);
-  // Dense overlapping workload that cannot fit in 3 tracks.
-  ConnectionSet cs;
-  for (int i = 0; i < 8; ++i) cs.add(1, 24);
-  const alg::ChannelFactory make = [](int t) {
-    return gen::uniform_segmentation(t, 24, 24);
-  };
-  for (int w : {1, 4}) {
-    CapacityOptions o;
-    o.threads = w;
-    o.track_limit = 3;
-    EXPECT_FALSE(alg::min_tracks(cs, make, o, true).has_value()) << "w=" << w;
-    o.track_limit = 128;
-    const auto got = alg::min_tracks(cs, make, o, true);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, 8);
-  }
-}
-
-TEST(ParallelCapacity, MaxRoutablePrefixMatchesSerialAndLinearScan) {
-  std::mt19937_64 rng(79);
-  for (int iter = 0; iter < 6; ++iter) {
-    const auto ch = gen::staggered_segmentation(4, 24, 6);
-    const auto cs = gen::geometric_workload(
-        6 + static_cast<int>(rng() % 8), 24, 6.0, rng);
-    CapacityOptions serial;
-    serial.threads = 1;
-    const int want = alg::max_routable_prefix(ch, cs, serial);
-    // Ground truth by linear scan over prefixes.
-    const auto& all = cs.all();
-    int truth = 0;
-    for (int m = 1; m <= cs.size(); ++m) {
-      ConnectionSet prefix(
-          std::vector<Connection>(all.begin(), all.begin() + m));
-      if (!alg::dp_route_unlimited(ch, prefix).success) break;
-      truth = m;
-    }
-    EXPECT_EQ(want, truth) << "iter " << iter;
-    for (int w : {2, 8}) {
-      CapacityOptions o;
-      o.threads = w;
-      EXPECT_EQ(alg::max_routable_prefix(ch, cs, o), want)
-          << "iter " << iter << " w=" << w;
-    }
-  }
 }
 
 // ------------------------------------------- DP stats on every exit path --

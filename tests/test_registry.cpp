@@ -27,9 +27,14 @@
 #include <thread>
 #include <vector>
 
+#include "alg/anneal_route.h"
+#include "alg/branch_bound.h"
+#include "alg/delta.h"
 #include "alg/dp.h"
+#include "alg/exhaustive.h"
 #include "alg/greedy1.h"
 #include "alg/left_edge.h"
+#include "alg/lp_route.h"
 #include "alg/match1.h"
 #include "core/router.h"
 #include "core/routing.h"
@@ -235,9 +240,9 @@ TEST(Registry, PropertySweepHonorsCapabilitiesAndVerifies) {
 
 // Satellite guard: the registry path must be bit-identical to the legacy
 // free functions — same success, failure kind, routing, and weight — on
-// the frozen suite plus the local fixtures. The registry adapters build
-// their options from defaults; any drift (a changed default, a dropped
-// context) breaks this pin.
+// the frozen suite plus the local fixtures. Each direct call runs with
+// its router's default options, so this also pins the defaults the
+// registry adapters route with; any drift breaks it.
 TEST(Registry, BitIdenticalToLegacyWrappers) {
   const auto w = weights::occupied_length();
   const auto same = [](const RouteResult& a, const RouteResult& b) {
@@ -267,12 +272,23 @@ TEST(Registry, BitIdenticalToLegacyWrappers) {
     EXPECT_TRUE(same(route("left_edge", rq),
                      left_edge_route(f.channel, f.connections)))
         << f.name << " / left_edge";
+    EXPECT_TRUE(same(route("lp", rq), lp_route(f.channel, f.connections)))
+        << f.name << " / lp";
+    EXPECT_TRUE(same(route("anneal", rq),
+                     anneal_route(f.channel, f.connections)))
+        << f.name << " / anneal";
+    EXPECT_TRUE(same(route("online", rq),
+                     from_scratch(f.channel, f.connections, true, 0).result))
+        << f.name << " / online";
 
     RouteRequest k2 = rq;
     k2.options.max_segments = 2;
     EXPECT_TRUE(same(route("dp", k2),
                      dp_route_ksegment(f.channel, f.connections, 2)))
         << f.name << " / dp k2";
+    EXPECT_TRUE(same(route("online", k2),
+                     from_scratch(f.channel, f.connections, true, 2).result))
+        << f.name << " / online k2";
 
     RouteRequest wd = rq;
     wd.options.weight = w;
@@ -282,6 +298,28 @@ TEST(Registry, BitIdenticalToLegacyWrappers) {
     EXPECT_TRUE(same(route("match1", wd),
                      match1_route_optimal(f.channel, f.connections, w)))
         << f.name << " / match1 weighted";
+    EXPECT_TRUE(same(route("lp", wd),
+                     lp_route_optimal(f.channel, f.connections, w)))
+        << f.name << " / lp weighted";
+    EXPECT_TRUE(same(route("branch_bound", wd),
+                     branch_bound_route(f.channel, f.connections, w)))
+        << f.name << " / branch_bound weighted";
+  }
+
+  // The exhaustive oracle is exponential: the small fixtures only.
+  for (const Fixture& f : fixtures()) {
+    RouteRequest rq;
+    rq.channel = &f.channel;
+    rq.connections = &f.connections;
+    EXPECT_TRUE(same(route("exhaustive", rq),
+                     exhaustive_route(f.channel, f.connections)))
+        << f.name << " / exhaustive";
+    ExhaustiveOptions eo;
+    eo.weight = w;
+    rq.options.weight = w;
+    EXPECT_TRUE(same(route("exhaustive", rq),
+                     exhaustive_route(f.channel, f.connections, eo)))
+        << f.name << " / exhaustive weighted";
   }
 }
 
