@@ -169,15 +169,15 @@ std::future<SvcResponse> RoutingService::submit(SvcRequest req) {
   job.t_enqueue = Clock::now();
   std::future<SvcResponse> fut = job.prom.get_future();
   // Live mode answers a warm cache hit here, on the caller's thread. The
-  // probe runs under the dispatch lock, which excludes rebind(); when a
-  // tick, an edit or a rebind holds it, the request queues instead, so
-  // submit() never waits.
+  // probe holds the dispatch lock shared, like the serve loops, which
+  // excludes rebind(); when a writer holds it or waits for it, the
+  // request queues instead, so submit() never waits.
   std::optional<alg::RouteResult> hit;
   std::uint64_t hit_fingerprint = 0;
   Clock::time_point t_hit;
   if (live_.load(std::memory_order_relaxed) && job.req.session == 0 &&
-      !job.req.tenant.empty()) {
-    std::unique_lock<std::mutex> dl(dispatch_mu_, std::try_to_lock);
+      !job.req.tenant.empty() && writers_ == 0) {
+    std::shared_lock<std::shared_mutex> dl(dispatch_mu_, std::try_to_lock);
     if (dl.owns_lock()) {
       hit = engine_.cached(job.req.connections, route_options(job.req));
       hit_fingerprint = engine_.fingerprint();
@@ -219,8 +219,15 @@ std::future<SvcResponse> RoutingService::submit(SvcRequest req) {
     } else {
       ++stats_.accepted;
       ++inflight_[job.req.tenant];
+      // Any loop may take a batch request; only loop 0 takes an edit, so
+      // waking one loop could wake the wrong one.
+      if (job.req.session == 0) {
+        ++queued_batch_;
+        cv_work_.notify_one();
+      } else {
+        cv_work_.notify_all();
+      }
       queue_.push_back(std::move(job));
-      cv_work_.notify_one();
     }
   }
   if (admit == Admit::kAccepted) {
@@ -297,6 +304,24 @@ void RoutingService::reject(Job job, Admit why) {
   job.prom.set_value(std::move(resp));
 }
 
+bool RoutingService::serve(Job& job, const engine::EngineRouteOptions& o,
+                           std::uint64_t fp, std::uint64_t now, Serve what) {
+  const auto t0 = Clock::now();
+  std::optional<alg::RouteResult> result;
+  // The probe counts hits only, so a miss is counted once, by route().
+  if (what != Serve::kRouteOnly) {
+    result = engine_.cached(job.req.connections, o);
+  }
+  const bool cache_hit = result.has_value();
+  if (!cache_hit) {
+    if (what == Serve::kProbeOnly) return false;
+    result = engine_.route(job.req.connections, o);
+  }
+  finish_job(job, routed(job, now, std::move(*result), fp, cache_hit, t0,
+                         Clock::now()));
+  return true;
+}
+
 void RoutingService::route_window(std::vector<Job>& window, std::uint64_t now) {
   SEGROUTE_SPAN(span, "svc.tick");
   SEGROUTE_SPAN_TAG(span, "window", static_cast<std::uint64_t>(window.size()));
@@ -316,23 +341,13 @@ void RoutingService::route_window(std::vector<Job>& window, std::uint64_t now) {
     (opts[i].budget.unlimited() ? pure_ix : budgeted_ix).push_back(i);
   }
   const std::uint64_t fp = engine_.fingerprint();
-  const auto answer = [&](std::size_t i, Clock::time_point t0,
-                          alg::RouteResult result, bool cache_hit) {
-    finish_job(window[i], routed(window[i], now, std::move(result), fp,
-                                 cache_hit, t0, Clock::now()));
-  };
   // Each phase answers its cache hits inline on this thread and forks the
-  // pool only over the misses. The probe counts hits only, so a miss is
-  // counted once, by route().
+  // pool only over the misses.
   std::vector<std::size_t> misses;
   const auto run_phase = [&](const std::vector<std::size_t>& ix) {
     misses.clear();
     for (const std::size_t i : ix) {
-      const auto t0 = Clock::now();
-      if (std::optional<alg::RouteResult> hit =
-              engine_.cached(window[i].req.connections, opts[i])) {
-        answer(i, t0, std::move(*hit), /*cache_hit=*/true);
-      } else {
+      if (!serve(window[i], opts[i], fp, now, Serve::kProbeOnly)) {
         misses.push_back(i);
       }
     }
@@ -340,9 +355,7 @@ void RoutingService::route_window(std::vector<Job>& window, std::uint64_t now) {
     pool_.parallel_for(
         static_cast<std::int64_t>(misses.size()), [&](std::int64_t k) {
           const std::size_t i = misses[static_cast<std::size_t>(k)];
-          const auto t0 = Clock::now();
-          answer(i, t0, engine_.route(window[i].req.connections, opts[i]),
-                 /*cache_hit=*/false);
+          serve(window[i], opts[i], fp, now, Serve::kRouteOnly);
         });
   };
   run_phase(pure_ix);
@@ -352,6 +365,75 @@ void RoutingService::route_window(std::vector<Job>& window, std::uint64_t now) {
   // state is therefore a pure function of the submission sequence —
   // worker count never enters an edit outcome.
   for (const std::size_t i : edit_ix) apply_edit(window[i], now);
+}
+
+bool RoutingService::takeable(int loop) const {
+  return loop == 0 ? !queue_.empty() : queued_batch_ > 0;
+}
+
+RoutingService::Job RoutingService::take(std::deque<Job>::iterator it) {
+  Job job = std::move(*it);
+  queue_.erase(it);
+  if (job.req.session == 0) --queued_batch_;
+  return job;
+}
+
+void RoutingService::serve_loop(int loop) {
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lk(queue_mu_);
+      cv_work_.wait(lk, [&] {
+        return writers_ == 0 && (takeable(loop) || dispatcher_exit_);
+      });
+      if (!takeable(loop)) return;  // stopping, and nothing left for us
+    }
+    // The job is taken under the shared lock, so no writer runs between
+    // taking it and serving it: tick() cannot apply a later edit of the
+    // same session first, and rebind() waits for the answer.
+    std::shared_lock<std::shared_mutex> dl(dispatch_mu_);
+    Job job;
+    std::uint64_t now;
+    {
+      std::lock_guard<std::mutex> lk(queue_mu_);
+      // Another loop took the job, or a writer is waiting: wait again.
+      if (writers_ > 0 || !takeable(loop)) {
+        continue;
+      }
+      job = take(loop == 0 ? queue_.begin()
+                           : std::find_if(queue_.begin(), queue_.end(),
+                                          [](const Job& j) {
+                                            return j.req.session == 0;
+                                          }));
+      now = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
+      ++stats_.ticks;
+    }
+    ticks_c_.inc();
+    if (job.req.session != 0) {
+      apply_edit(job, now);
+    } else {
+      SEGROUTE_SPAN(span, "svc.serve", "loop",
+                    static_cast<std::uint64_t>(loop));
+      serve(job, route_options(job.req), engine_.fingerprint(), now,
+            Serve::kProbeThenRoute);
+    }
+  }
+}
+
+RoutingService::Exclusive::Exclusive(RoutingService& s) : s_(s) {
+  {
+    std::lock_guard<std::mutex> lk(s_.queue_mu_);
+    ++s_.writers_;
+  }
+  s_.dispatch_mu_.lock();
+}
+
+RoutingService::Exclusive::~Exclusive() {
+  s_.dispatch_mu_.unlock();
+  {
+    std::lock_guard<std::mutex> lk(s_.queue_mu_);
+    --s_.writers_;
+  }
+  s_.cv_work_.notify_all();
 }
 
 void RoutingService::apply_edit(Job& job, std::uint64_t now) {
@@ -411,9 +493,9 @@ void RoutingService::apply_edit(Job& job, std::uint64_t now) {
 std::uint64_t RoutingService::open_session(const std::string& tenant,
                                            int max_segments) {
   if (tenant.empty() || max_segments < 0) return 0;
-  // The dispatch lock pins the substrate while the session copies it (a
-  // concurrent rebind() would race the read).
-  std::lock_guard<std::mutex> dl(dispatch_mu_);
+  // The shared dispatch lock pins the substrate while the session copies
+  // it (a concurrent rebind() would race the read).
+  std::shared_lock<std::shared_mutex> dl(dispatch_mu_);
   Session session{tenant, engine_.fingerprint(),
                   alg::OnlineRouter(engine_.channel(),
                                     alg::OnlineRouter::Policy::BestFit,
@@ -427,7 +509,7 @@ std::uint64_t RoutingService::open_session(const std::string& tenant,
 }
 
 bool RoutingService::close_session(std::uint64_t session) {
-  std::lock_guard<std::mutex> dl(dispatch_mu_);  // quiesce in-flight edits
+  Exclusive ex(*this);  // quiesce in-flight edits
   std::lock_guard<std::mutex> lk(queue_mu_);
   const auto it = sessions_.find(session);
   if (it == sessions_.end()) return false;
@@ -438,7 +520,7 @@ bool RoutingService::close_session(std::uint64_t session) {
 
 std::optional<std::pair<ConnectionSet, Routing>>
 RoutingService::session_snapshot(std::uint64_t session) {
-  std::lock_guard<std::mutex> dl(dispatch_mu_);  // quiesce in-flight edits
+  Exclusive ex(*this);  // quiesce in-flight edits
   const alg::OnlineRouter* router = nullptr;
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
@@ -450,40 +532,50 @@ RoutingService::session_snapshot(std::uint64_t session) {
 }
 
 std::size_t RoutingService::tick() {
-  std::lock_guard<std::mutex> dl(dispatch_mu_);
+  Exclusive ex(*this);
   std::vector<Job> window;
   std::uint64_t now;
+  bool loops_own_pool;
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
     now = tick_.fetch_add(1, std::memory_order_relaxed) + 1;
     ++stats_.ticks;
+    loops_own_pool = started_;
     const std::size_t n = std::min(queue_.size(), opts_.drain_window);
     window.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      window.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
+    for (std::size_t i = 0; i < n; ++i) window.push_back(take(queue_.begin()));
   }
   ticks_c_.inc();
-  if (!window.empty()) route_window(window, now);
+  if (window.empty()) return 0;
+  if (!loops_own_pool) {
+    route_window(window, now);
+    return window.size();
+  }
+  // Live mode: the serve loops own the pool, which is not reentrant, so
+  // the window is served here, in FIFO order, while no loop serves.
+  const std::uint64_t fp = engine_.fingerprint();
+  for (Job& job : window) {
+    if (job.req.session != 0) {
+      apply_edit(job, now);
+    } else {
+      serve(job, route_options(job.req), fp, now, Serve::kProbeThenRoute);
+    }
+  }
   return window.size();
 }
 
 void RoutingService::start() {
+  // Waits out a driver-mode tick that may hold the pool; every later
+  // tick() sees started_ and leaves the pool to the loops.
+  Exclusive ex(*this);
   std::lock_guard<std::mutex> lk(queue_mu_);
   if (started_ || stopping_) return;
   started_ = true;
   live_.store(true, std::memory_order_relaxed);
   dispatcher_ = std::thread([this] {
-    std::unique_lock<std::mutex> lk(queue_mu_);
-    while (true) {
-      cv_work_.wait(lk,
-                    [this] { return dispatcher_exit_ || !queue_.empty(); });
-      if (queue_.empty() && dispatcher_exit_) break;
-      lk.unlock();
-      tick();
-      lk.lock();
-    }
+    pool_.parallel_for(pool_.size(), [this](std::int64_t loop) {
+      serve_loop(static_cast<int>(loop));
+    });
   });
 }
 
@@ -496,16 +588,13 @@ void RoutingService::stop(StopMode mode) {
     dispatcher_exit_ = true;
     if (mode == StopMode::kReject) {
       backlog.reserve(queue_.size());
-      while (!queue_.empty()) {
-        backlog.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+      while (!queue_.empty()) backlog.push_back(take(queue_.begin()));
     }
     cv_work_.notify_all();
   }
   for (Job& job : backlog) reject(std::move(job), Admit::kShuttingDown);
   if (dispatcher_.joinable()) dispatcher_.join();
-  // Driver mode (no dispatcher): drain synchronously so every accepted
+  // Driver mode (no serve loops): drain synchronously so every accepted
   // request resolves before stop() returns.
   if (mode == StopMode::kDrain) {
     while (tick() > 0) {
@@ -519,10 +608,10 @@ void RoutingService::stop(StopMode mode) {
 }
 
 void RoutingService::rebind(const SegmentedChannel& ch) {
-  // The dispatch lock quiesces routing: no window is in flight while the
-  // engine's index is rebuilt, which is exactly the engine's
-  // rebind() precondition.
-  std::lock_guard<std::mutex> dl(dispatch_mu_);
+  // The exclusive dispatch lock quiesces routing: no request is in
+  // service while the engine's index is rebuilt, which is exactly the
+  // engine's rebind() precondition.
+  Exclusive ex(*this);
   engine_.rebind(ch);
 }
 

@@ -8,9 +8,12 @@
 // metrics registry (obs/metrics.h). This layer turns them into a system
 // that serves concurrent tenants:
 //
-//   submit()  --> bounded FIFO request queue --> tick() drains a window
-//                 (admission control)            and routes it on the pool
-//       |
+//   submit()  --> bounded FIFO request queue --> driver mode: tick()
+//                 (admission control)            drains a window and
+//       |                                        routes it on the pool
+//       |                                        live mode: one serve loop
+//       |                                        per thread, one request
+//       |                                        at a time
 //       +-- live mode, warm cache hit: answered inside submit()
 //
 // Admission control. submit() never blocks and never drops silently:
@@ -39,19 +42,28 @@
 //     pure function of the submission sequence, bit-identical for every
 //     SvcOptions::threads (the digest gates in tests/ and bench_svc
 //     pin this at 1/2/8 threads, including under TSan).
-//   - Live mode: start() spawns one dispatcher thread that calls tick()
-//     whenever the queue is non-empty; stop() drains (no request is
+//   - Live mode: start() runs one serve loop per service thread on the
+//     pool (the dispatcher thread makes one long parallel_for, so no
+//     thread is added). A loop takes one queued request, serves it and
+//     takes the next: no window, no barrier, so a thread that finishes a
+//     DP starts the next queued request at once. Each taken request is
+//     one tick. Loop 0 takes the FIFO front, session edits included; the
+//     other loops take the first batch request, so each session's edits
+//     stay serial and in submission order. stop() drains (no request is
 //     dropped without a typed response) or rejects the backlog. A batch
 //     request whose answer is already in the memo cache resolves inside
 //     submit(), on the caller's thread: it passes the same admission
 //     checks, is counted accepted and served (never in flight), observes
 //     a 0 ms queue wait, and carries the current tick in all three tick
-//     fields. The probe (BatchRouter::cached) runs under a try-lock of
-//     the dispatch lock, so it never races rebind(); when a tick, an
-//     edit or a rebind holds that lock the request simply queues.
+//     fields. The probe (BatchRouter::cached) holds the dispatch lock
+//     shared, as the serve loops do, so it runs while misses route; it
+//     only try-locks, and stays off the lock while a writer (rebind, a
+//     session close or snapshot, tick()) waits, so submit() never waits.
 //     Misses, session edits and every driver-mode request take the
-//     queue. In a tick, each phase answers its own cache hits inline on
-//     the dispatching thread and forks the pool only over the misses.
+//     queue. A loop serves a batch request the way a probe would first
+//     (cached()), and routes it only on a miss. tick() called while the
+//     loops run serves its window serially on the caller, through the
+//     same per-request body, since the loops own the pool.
 //
 // Determinism argument for driver mode. The queue is FIFO and submit()
 // is called from the driving thread, so the drain order is fixed. Each
@@ -64,10 +76,14 @@
 // a budgeted request hits depends only on which pure results exist,
 // which the phase barrier made schedule-independent. Wall-clock fields
 // (queue_ms/service_ms) are reported but excluded from response_digest.
+// Live mode keeps no barrier, so which pure results a budgeted request
+// finds cached, and the tick each request is taken on, depend on
+// scheduling; pure results and session states do not.
 //
 // Live edits. rebind() re-points the shared engine at a structurally
-// different channel; the service quiesces routing internally (the
-// dispatch lock), so callers may invoke it concurrently with submit().
+// different channel; the service quiesces routing internally (it holds
+// the dispatch lock exclusively), so callers may invoke it concurrently
+// with submit().
 // invalidate(fp) forwards to the engine's fingerprint-delta-aware
 // eviction and is safe at any time.
 //
@@ -77,9 +93,10 @@
 // only). A submission with `session` set is a delta edit: it rides the
 // same admission control (tenant caps, queue bounds, budget slices —
 // the slice bounds the DP fallback) and resolves to a SvcResponse
-// carrying the RepairOutcome. Edits are applied
-// *serially in window order* after the two routing phases of each tick,
-// so session state is a pure function of the submission sequence and
+// carrying the RepairOutcome. In driver mode edits are applied
+// *serially in window order* after the two routing phases of each tick;
+// in live mode only loop 0 applies them, in FIFO order. Either way a
+// session's state is a pure function of the submission sequence, and
 // the driver-mode digest stays bit-identical across thread counts.
 // Session fields fold into response digests only for session responses,
 // leaving pure-batch digests (the committed bench baselines) unchanged.
@@ -106,6 +123,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <utility>
@@ -136,8 +154,9 @@ enum class Admit {
 const char* to_string(Admit a);
 
 struct SvcOptions {
-  /// Worker threads routing each drained window. The library-wide
-  /// convention (shared with engine::BatchOptions::threads,
+  /// Service threads: the pool that routes each drained window in
+  /// driver mode, and the number of serve loops in live mode. The
+  /// library-wide convention (shared with engine::BatchOptions::threads,
   /// alg::CapacityOptions::threads and fpga::FabricOptions::threads):
   /// 1 = serial, N > 1 = fixed, <= 0 = "auto" via
   /// util::hardware_threads(). Driver-mode results are bit-identical
@@ -151,7 +170,9 @@ struct SvcOptions {
   /// Per-tenant in-flight cap (queued + routing). 0 = unlimited.
   std::size_t max_inflight_per_tenant = 0;
 
-  /// Requests drained and routed per tick. Must be >= 1 (clamped).
+  /// Requests one tick() drains and routes. Must be >= 1 (clamped).
+  /// Driver mode only: live mode's serve loops take one request at a
+  /// time.
   std::size_t drain_window = 64;
 
   /// Per-tenant tick-budget slices (harness::Budget::max_ticks); a
@@ -201,13 +222,13 @@ struct SvcResponse {
   std::uint64_t session = 0;
   alg::RepairOutcome repair;
 
-  /// Set when BatchRouter::cached() answered the request, at admission or
-  /// in a tick (not folded into the digest).
+  /// Set when BatchRouter::cached() answered the request, at admission,
+  /// in a tick or in a serve loop (not folded into the digest).
   bool cache_hit = false;
 
   std::uint64_t enqueue_tick = 0;
-  std::uint64_t start_tick = 0;   // tick that drained the request
-  std::uint64_t finish_tick = 0;  // == start_tick (windows complete in-tick)
+  std::uint64_t start_tick = 0;   // tick that drained (live: took) it
+  std::uint64_t finish_tick = 0;  // == start_tick (requests complete in-tick)
   double queue_ms = 0.0;
   double service_ms = 0.0;
 
@@ -236,7 +257,7 @@ struct SvcStats {
   std::uint64_t rejected_invalid = 0;
   std::uint64_t served = 0;
   std::uint64_t admission_hits = 0;  // served from the cache in submit()
-  std::uint64_t ticks = 0;
+  std::uint64_t ticks = 0;  // tick() calls, plus live requests taken
   std::size_t queue_depth = 0;
 
   // Edit-session counters.
@@ -267,12 +288,14 @@ class RoutingService {
 
   /// Drains up to drain_window queued requests and routes them on the
   /// pool, advancing the virtual tick. Returns the number routed. The
-  /// driver-mode entry point; live mode's dispatcher calls it too.
-  /// Serialized internally — concurrent calls queue on the dispatch
-  /// lock, they do not interleave.
+  /// driver-mode entry point. Called after start(), it serves its window
+  /// serially on the caller (the serve loops own the pool) while no loop
+  /// serves. Serialized internally — concurrent calls queue on the
+  /// dispatch lock, they do not interleave.
   std::size_t tick();
 
-  /// Live mode: spawns the dispatcher thread. Idempotent.
+  /// Live mode: spawns the dispatcher thread, which runs one serve loop
+  /// per service thread on the pool. Idempotent.
   void start();
 
   enum class StopMode {
@@ -287,7 +310,8 @@ class RoutingService {
 
   /// Re-points the shared engine at `ch` (must outlive the service),
   /// quiescing routing internally — safe concurrently with submit() and
-  /// the live dispatcher. Queued requests route on the new substrate.
+  /// the serve loops, and returns once the requests in service finish.
+  /// Queued requests route on the new substrate.
   void rebind(const SegmentedChannel& ch);
 
   /// Fingerprint-delta-aware cache eviction; safe at any time.
@@ -355,7 +379,24 @@ class RoutingService {
                             bool cache_hit,
                             std::chrono::steady_clock::time_point t0,
                             std::chrono::steady_clock::time_point t1);
+  /// What serve() may do with a batch request.
+  enum class Serve { kProbeOnly, kRouteOnly, kProbeThenRoute };
+  /// The per-request body of every batch request that leaves the queue:
+  /// a cached() probe, engine_.route() on a miss, and the answer,
+  /// routed() on substrate `fp` at tick `now`, through finish_job().
+  /// Returns false, leaving the job unanswered, for a kProbeOnly miss.
+  bool serve(Job& job, const engine::EngineRouteOptions& o, std::uint64_t fp,
+             std::uint64_t now, Serve what);
+  /// Driver mode: routes a drained window in two phases (see the
+  /// determinism argument in the file comment), then applies its edits.
   void route_window(std::vector<Job>& window, std::uint64_t now);
+  /// Live mode: serve loop `loop`, until stop() and nothing is left that
+  /// this loop may take.
+  void serve_loop(int loop);
+  /// Whether serve loop `loop` has a job to take (queue_mu_ held).
+  [[nodiscard]] bool takeable(int loop) const;
+  /// Moves the job at `it` out of the queue (queue_mu_ held).
+  Job take(std::deque<Job>::iterator it);
   void apply_edit(Job& job, std::uint64_t now);
   void reject(Job job, Admit why);
   /// Releases the job's in-flight slot, then resolve()s it.
@@ -364,6 +405,23 @@ class RoutingService {
   /// resolves its promise.
   void resolve(Job& job, SvcResponse resp, obs::Counter& tenant_c);
   obs::Counter& tenant_counter(const std::string& tenant);
+
+  /// Holds dispatch_mu_ exclusively, for tick(), start(), rebind(),
+  /// close_session() and session_snapshot(). It raises writers_ first,
+  /// so no serve loop takes a new job and the admission probe stays off
+  /// the lock: glibc's rwlock prefers readers, so shared holders that
+  /// keep overlapping (loops routing back to back, a stream of probes)
+  /// could otherwise hold a writer off indefinitely.
+  class Exclusive {
+   public:
+    explicit Exclusive(RoutingService& s);
+    ~Exclusive();
+    Exclusive(const Exclusive&) = delete;
+    Exclusive& operator=(const Exclusive&) = delete;
+
+   private:
+    RoutingService& s_;
+  };
 
   SvcOptions opts_;
   engine::BatchRouter engine_;
@@ -374,6 +432,7 @@ class RoutingService {
   mutable std::mutex queue_mu_;
   std::condition_variable cv_work_;
   std::deque<Job> queue_;
+  std::size_t queued_batch_ = 0;  // jobs in queue_ that are not edits
   std::map<std::string, std::size_t> inflight_;
   std::map<std::string, obs::Counter*> tenant_served_;
   std::uint64_t next_id_ = 1;
@@ -383,14 +442,21 @@ class RoutingService {
 
   // Edit sessions. The *map* is guarded by queue_mu_ (submit() checks
   // session existence during admission); the routers themselves are
-  // touched only under dispatch_mu_ (the serial edit phase of
-  // route_window, and close/snapshot which quiesce first).
+  // touched only under dispatch_mu_: shared by live loop 0, the one
+  // loop that applies edits, and exclusive in tick()'s serial edit
+  // phase and in close/snapshot.
   std::map<std::uint64_t, Session> sessions_;
   std::uint64_t next_session_ = 1;
 
-  // Dispatch state (dispatch_mu_): held while a window routes and while
-  // rebind() swaps the substrate.
-  std::mutex dispatch_mu_;
+  // Dispatch state. dispatch_mu_ is held shared while a serve loop
+  // serves a request and while the admission probe reads the cache, and
+  // exclusively (through Exclusive) while tick() routes a window,
+  // rebind() swaps the substrate, or a session is closed or copied.
+  // writers_ counts the Exclusive holders and waiters; it changes under
+  // queue_mu_, so the loops' wait sees it, and the probe reads it
+  // lock-free.
+  std::shared_mutex dispatch_mu_;
+  std::atomic<int> writers_{0};
   std::atomic<std::uint64_t> tick_{0};
 
   std::thread dispatcher_;

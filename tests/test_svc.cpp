@@ -16,6 +16,7 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -444,6 +445,249 @@ TEST(SvcAdmission, LiveMissRoutesThroughTheQueue) {
   EXPECT_GE(s.ticks, 1u);
   EXPECT_EQ(svc.engine().cache_stats().misses, 1u);
   svc.stop(svc::RoutingService::StopMode::kDrain);
+}
+
+// ---------------------------------------------------------------------
+// Live serve loops: one per service thread, no tick barrier, the
+// dispatch lock shared by the loops and the admission probe.
+
+/// Long enough for a small miss under the sanitizers; a loop stuck
+/// behind a blocker never gets there.
+constexpr auto kLiveTimeout = std::chrono::seconds(10);
+
+TEST(SvcLive, SecondLoopServesAMissWhileABlockerRoutes) {
+  const SegmentedChannel ch = test_channel();
+  const Workload w = make_workload(ch, 40);
+  svc::SvcOptions o;
+  o.threads = 2;
+  svc::RoutingService svc(ch, o);
+  svc.start();
+
+  std::atomic<bool> release{false};
+  auto fblock = svc.submit(blocking_request("bob", release));
+  while (svc.stats().queue_depth != 0) std::this_thread::yield();
+  // The blocker holds one loop; the other takes the miss at once.
+  auto fmiss = svc.submit(request("alice", w.alice[0]));
+  const bool served = fmiss.wait_for(kLiveTimeout) == std::future_status::ready;
+  EXPECT_TRUE(served) << "the miss waited for the blocker";
+  EXPECT_FALSE(ready(fblock)) << "the blocker ended before the miss";
+  release.store(true);
+  EXPECT_EQ(fblock.get().result.failure, alg::FailureKind::kBudgetExhausted);
+  const svc::SvcResponse r = fmiss.get();
+  EXPECT_EQ(r.admit, svc::Admit::kAccepted);
+  EXPECT_TRUE(r.result.success);
+  EXPECT_FALSE(r.cache_hit);
+  svc.stop(svc::RoutingService::StopMode::kDrain);
+}
+
+TEST(SvcLive, WarmHitResolvesInSubmitWhileAMissRoutes) {
+  const SegmentedChannel ch = test_channel();
+  const Workload w = make_workload(ch, 41);
+  svc::RoutingService svc(ch);  // one loop, which the blocker holds
+  auto fw = svc.submit(request("alice", w.alice[0]));
+  svc.tick();
+  const svc::SvcResponse warm = fw.get();
+  ASSERT_TRUE(warm.result.success);
+  svc.start();
+
+  std::atomic<bool> release{false};
+  auto fblock = svc.submit(blocking_request("bob", release));
+  while (svc.stats().queue_depth != 0) std::this_thread::yield();
+  auto fhit = svc.submit(request("carol", w.alice[0]));
+  EXPECT_TRUE(ready(fhit)) << "the probe lost the dispatch lock to a route";
+  EXPECT_FALSE(ready(fblock)) << "the blocker ended before the probe";
+  release.store(true);
+  (void)fblock.get();
+  const svc::SvcResponse hit = fhit.get();
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.result.routing, warm.result.routing);
+  EXPECT_EQ(svc.stats().admission_hits, 1u);
+  svc.stop(svc::RoutingService::StopMode::kDrain);
+}
+
+TEST(SvcLive, WritersProgressWhileLoopsAreSaturated) {
+  const SegmentedChannel ch1 = test_channel();
+  const SegmentedChannel ch2 = gen::staggered_segmentation(8, 64, 6);
+  const Workload w = make_workload(ch1, 42);
+  svc::SvcOptions o;
+  o.threads = 2;
+  o.engine.use_cache = false;  // every request is a miss
+  svc::RoutingService svc(ch1, o);
+  const std::uint64_t sid = svc.open_session("alice");
+  ASSERT_NE(sid, 0u);
+  svc.start();
+
+  // Keeps both loops busy: the queue never runs dry until released.
+  std::atomic<bool> release{false};
+  std::thread feeder([&] {
+    std::size_t i = 0;
+    while (!release.load()) {
+      if (svc.stats().queue_depth >= 8) {
+        std::this_thread::yield();
+        continue;
+      }
+      (void)svc.submit(request("bob", w.alice[i++ % w.alice.size()]));
+    }
+  });
+  while (svc.stats().served < 16) std::this_thread::yield();
+
+  std::future<void> rebound =
+      std::async(std::launch::async, [&] { svc.rebind(ch2); });
+  EXPECT_EQ(rebound.wait_for(kLiveTimeout), std::future_status::ready)
+      << "rebind() starved behind the serve loops";
+  auto snapshot = std::async(std::launch::async,
+                             [&] { return svc.session_snapshot(sid); });
+  EXPECT_EQ(snapshot.wait_for(kLiveTimeout), std::future_status::ready)
+      << "session_snapshot() starved behind the serve loops";
+  auto closed =
+      std::async(std::launch::async, [&] { return svc.close_session(sid); });
+  EXPECT_EQ(closed.wait_for(kLiveTimeout), std::future_status::ready)
+      << "close_session() starved behind the serve loops";
+
+  release.store(true);
+  feeder.join();
+  rebound.get();
+  EXPECT_TRUE(snapshot.get().has_value());
+  EXPECT_TRUE(closed.get());
+  svc.stop(svc::RoutingService::StopMode::kDrain);
+}
+
+TEST(SvcLive, TickAfterStartServesItsWindowOnTheCaller) {
+  const SegmentedChannel ch = test_channel();
+  const Workload w = make_workload(ch, 44);
+  svc::SvcOptions o;
+  o.threads = 2;
+  svc::RoutingService svc(ch, o);
+  auto fw = svc.submit(request("alice", w.alice[0]));
+  svc.tick();
+  ASSERT_TRUE(fw.get().result.success);
+  svc.start();
+
+  // Both loops held, three misses queued behind them.
+  std::atomic<bool> release{false};
+  auto fb1 = svc.submit(blocking_request("bob", release));
+  auto fb2 = svc.submit(blocking_request("erin", release));
+  while (svc.stats().queue_depth != 0) std::this_thread::yield();
+  std::vector<std::future<svc::SvcResponse>> queued;
+  for (int i = 1; i <= 3; ++i) {
+    queued.push_back(svc.submit(request("carol", w.alice[i])));
+  }
+  auto ticked = std::async(std::launch::async, [&] { return svc.tick(); });
+  // A waiting writer keeps the probe off the lock: the first warm hit
+  // that does not resolve inside submit() has queued behind the tick.
+  for (;;) {
+    auto f = svc.submit(request("dave", w.alice[0]));
+    if (!ready(f)) {
+      queued.push_back(std::move(f));
+      break;
+    }
+  }
+  release.store(true);
+  // The loops finish their blockers and take nothing new; the tick
+  // serves its window on its own thread, without forking the pool the
+  // loops hold.
+  ASSERT_EQ(ticked.wait_for(kLiveTimeout), std::future_status::ready);
+  EXPECT_EQ(ticked.get(), queued.size());
+  std::vector<svc::SvcResponse> served;
+  for (auto& f : queued) served.push_back(f.get());
+  for (const svc::SvcResponse& r : served) {
+    EXPECT_TRUE(r.result.success);
+    EXPECT_EQ(r.start_tick, served.front().start_tick);  // one window
+  }
+  EXPECT_TRUE(served.back().cache_hit);
+  (void)fb1.get();
+  (void)fb2.get();
+  svc.stop(svc::RoutingService::StopMode::kDrain);
+}
+
+/// Two sessions' edit scripts, interleaved with batch reads, submitted
+/// without waiting on `svc`; returns every edit response in submission
+/// order and each session's final snapshot.
+struct EditRun {
+  std::vector<svc::SvcResponse> edits;
+  std::vector<std::optional<std::pair<ConnectionSet, Routing>>> snaps;
+};
+
+EditRun run_edit_script(svc::RoutingService& svc, bool live) {
+  const Workload w = make_workload(test_channel(), 43);
+  const std::vector<std::string> tenants = {"alice", "bob"};
+  std::vector<std::uint64_t> sids;
+  for (const std::string& t : tenants) sids.push_back(svc.open_session(t));
+  if (live) svc.start();
+
+  std::mt19937_64 rng(4343);
+  std::vector<std::future<svc::SvcResponse>> edits, reads;
+  for (int round = 0; round < 30; ++round) {
+    reads.push_back(svc.submit(request("carol", w.alice[rng() % 6])));
+    reads.push_back(svc.submit(request("dave", w.bob[rng() % 6])));
+    for (std::size_t s = 0; s < sids.size(); ++s) {
+      for (int k = 0; k < 3; ++k) {  // back to back, none awaited
+        svc::SvcRequest rq;
+        rq.tenant = tenants[s];
+        rq.session = sids[s];
+        const Column l = 1 + static_cast<Column>(rng() % 60);
+        const Column r = l + static_cast<Column>(rng() % 5);
+        const ConnId id = static_cast<ConnId>(rng() % 24);
+        switch (rng() % 4) {
+          case 0:
+            rq.edit = alg::ChannelEdit::remove(id);
+            break;
+          case 1:
+            rq.edit = alg::ChannelEdit::move(id, l, r);
+            break;
+          default:
+            rq.edit = alg::ChannelEdit::add(l, r);
+        }
+        edits.push_back(svc.submit(std::move(rq)));
+      }
+    }
+  }
+  if (!live) {
+    while (svc.tick() > 0) {
+    }
+  }
+  EditRun run;
+  for (auto& f : edits) run.edits.push_back(f.get());
+  for (auto& f : reads) EXPECT_EQ(f.get().admit, svc::Admit::kAccepted);
+  for (const std::uint64_t sid : sids) {
+    run.snaps.push_back(svc.session_snapshot(sid));
+  }
+  svc.stop(svc::RoutingService::StopMode::kDrain);
+  return run;
+}
+
+TEST(SvcLive, EditsKeepSessionOrderAcrossLoops) {
+  const SegmentedChannel ch = test_channel();
+  svc::SvcOptions live_opts;
+  live_opts.threads = 2;
+  svc::RoutingService live_svc(ch, live_opts);
+  const EditRun live = run_edit_script(live_svc, /*live=*/true);
+  svc::RoutingService driver_svc(ch);  // threads = 1, driver mode
+  const EditRun replay = run_edit_script(driver_svc, /*live=*/false);
+
+  ASSERT_EQ(live.edits.size(), replay.edits.size());
+  int applied = 0;
+  for (std::size_t i = 0; i < live.edits.size(); ++i) {
+    const svc::SvcResponse& a = live.edits[i];
+    const svc::SvcResponse& b = replay.edits[i];
+    EXPECT_EQ(a.admit, svc::Admit::kAccepted);
+    EXPECT_EQ(a.session, b.session) << "edit " << i;
+    EXPECT_EQ(a.repair.success, b.repair.success) << "edit " << i;
+    EXPECT_EQ(a.repair.path, b.repair.path) << "edit " << i;
+    EXPECT_EQ(a.repair.failure, b.repair.failure) << "edit " << i;
+    EXPECT_EQ(a.repair.id, b.repair.id) << "edit " << i;
+    applied += a.repair.success ? 1 : 0;
+  }
+  EXPECT_GT(applied, 0);
+  ASSERT_EQ(live.snaps.size(), replay.snaps.size());
+  for (std::size_t s = 0; s < live.snaps.size(); ++s) {
+    ASSERT_TRUE(live.snaps[s].has_value());
+    ASSERT_TRUE(replay.snaps[s].has_value());
+    EXPECT_EQ(live.snaps[s]->first.all(), replay.snaps[s]->first.all())
+        << "session " << s;
+    EXPECT_EQ(live.snaps[s]->second, replay.snaps[s]->second)
+        << "session " << s;
+  }
 }
 
 TEST(SvcSlicing, TenantTickSliceBoundsHardInstances) {
