@@ -10,9 +10,10 @@
 //
 // Flags:
 //   --json PATH    write the machine-readable results (BENCH_dp.json)
-//   --check PATH   compare section A against a committed baseline: exit 1
-//                  if any instance/mode is >5x slower or flips its
-//                  success/weight answer
+//   --check PATH   compare against a committed baseline: exit 1 if any
+//                  section A instance/mode is >5x slower or flips its
+//                  success/weight answer, or if section C's routed count
+//                  differs across thread counts or from the baseline's
 //   --threads N    thread count for the parallel sections (0 = hardware)
 //   --trials N     Monte-Carlo trials for section B (default 200)
 //   --quick        fewer repetitions (for smoke use)
@@ -300,6 +301,7 @@ int main(int argc, char** argv) {
      << ", \"ms_parallel\": " << fmt(ms_pool)
      << ", \"identical\": " << (identical ? "true" : "false") << "},\n";
   js << "  \"suite_driver\": {\"instances\": " << instances.size()
+     << ", \"routed\": " << drv_pool_ok
      << ", \"ms_serial\": " << fmt(drv_serial_ms)
      << ", \"ms_parallel\": " << fmt(drv_pool_ms) << "},\n";
   // This bench routes every instance directly (no BatchRouter), so the
@@ -360,6 +362,18 @@ int main(int argc, char** argv) {
     }
     if (!identical) {
       std::cout << "  FAIL routability: not bit-identical across threads\n";
+      ++failures;
+    }
+    if (drv_serial_ok != drv_pool_ok) {
+      std::cout << "  FAIL suite driver: routed " << drv_serial_ok
+                << " serial vs " << drv_pool_ok << " on " << W
+                << " threads\n";
+      ++failures;
+    }
+    const auto base_routed = base.object_field("suite_driver", "routed");
+    if (base_routed && *base_routed != static_cast<double>(drv_pool_ok)) {
+      std::cout << "  FAIL suite driver: routed " << drv_pool_ok
+                << " != baseline " << *base_routed << "\n";
       ++failures;
     }
     std::cout << (failures == 0 ? "baseline check passed\n"

@@ -33,16 +33,24 @@ inline std::string fmt(double v) {
 }
 
 /// Minimal scanner for the baseline JSON the benches emit: finds the
-/// row with `"key": "<key>"` and reads the named numeric/boolean field
-/// from it (booleans map to 1.0/0.0). Top-level fields can be read by
-/// passing the enclosing object's text via `field_at`.
+/// row with `"key": "<key>"` (or the top-level object `"<object>": {`)
+/// and reads the named numeric/boolean field from it (booleans map to
+/// 1.0/0.0).
 struct Baseline {
   std::string text;
 
   std::optional<double> field(const std::string& key,
                               const std::string& name) const {
-    const std::string anchor = "\"key\": \"" + key + "\"";
-    const std::size_t at = text.find(anchor);
+    return scan(text.find("\"key\": \"" + key + "\""), name);
+  }
+
+  std::optional<double> object_field(const std::string& object,
+                                     const std::string& name) const {
+    return scan(text.find("\"" + object + "\": {"), name);
+  }
+
+ private:
+  std::optional<double> scan(std::size_t at, const std::string& name) const {
     if (at == std::string::npos) return std::nullopt;
     const std::size_t end = text.find('}', at);
     const std::string needle = "\"" + name + "\": ";

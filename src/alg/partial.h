@@ -3,9 +3,9 @@
 // Every other router in src/alg/ is all-or-nothing: one unroutable
 // connection and the whole instance fails. On a degraded fabric that is
 // the wrong contract — a channel that lost a track can usually still
-// carry most of the traffic, and the survivability layer (harness/
-// robust_route, harness/chaos) wants "route what you can, tell me
-// exactly what you could not" instead of a bare kInfeasible.
+// carry most of the traffic, and the chaos harness (harness/chaos)
+// wants "route what you can, tell me exactly what you could not"
+// instead of a bare kInfeasible.
 //
 // The strategy is the deterministic greedy best-fit: connections are
 // taken in id order; each is placed on the fitting track that wastes the

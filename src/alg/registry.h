@@ -3,7 +3,7 @@
 //
 // Portfolio and parallel FPGA routers get their leverage from treating
 // routers as interchangeable strategies behind one interface; this
-// registry is that shape for segroute. Consumers (robust_route cascades,
+// registry is that shape for segroute. Consumers (robust_route's cascade,
 // the batch engine, capacity search, benches, tests) select routers by
 // name, query capability flags instead of hard-coding per-router
 // knowledge, and dispatch through one non-throwing entry point. Adding a

@@ -69,7 +69,7 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
   }
 
   CheckpointStore ckpts(32);
-  ckpts.save(base_fp, base.routing, std::nullopt, "baseline");
+  ckpts.save(base_fp, base.routing, "baseline");
   Routing live = base.routing;  // the session's live, original-coordinate
                                 // routing — what rollback protects
 
@@ -181,7 +181,7 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
       rec.routed = static_cast<int>(cs.size());
       ++report.reroutes;
       live = map_back(primary.routing, *degraded, cs.size());
-      ckpts.save(deg_fp, primary.routing, std::nullopt, "reroute");
+      ckpts.save(deg_fp, primary.routing, "reroute");
     } else {
       if (primary.success) ++report.verify_failures;  // corrupt reroute
       // Failed repair: salvage what we can, then roll back the live

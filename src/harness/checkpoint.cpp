@@ -10,21 +10,12 @@ CheckpointStore::CheckpointStore(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
 void CheckpointStore::save(std::uint64_t fingerprint, const Routing& routing,
-                           std::optional<double> weight, std::string source) {
+                           std::string source) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = by_fp_.find(fingerprint);
   if (it != by_fp_.end()) {
     RoutingCheckpoint& old = *it->second;
-    // Keep the better state: lower weight when both carry one, the
-    // newcomer otherwise (most recent good routing).
-    if (old.has_weight && weight && *weight >= old.weight) {
-      ++stats_.kept;
-      entries_.splice(entries_.begin(), entries_, it->second);  // touch
-      return;
-    }
     old.routing = routing;
-    old.weight = weight.value_or(0.0);
-    old.has_weight = weight.has_value();
     old.source = std::move(source);
     old.sequence = next_sequence_++;
     ++stats_.saves;
@@ -36,8 +27,6 @@ void CheckpointStore::save(std::uint64_t fingerprint, const Routing& routing,
   RoutingCheckpoint ckpt;
   ckpt.fingerprint = fingerprint;
   ckpt.routing = routing;
-  ckpt.weight = weight.value_or(0.0);
-  ckpt.has_weight = weight.has_value();
   ckpt.source = std::move(source);
   ckpt.sequence = next_sequence_++;
   entries_.push_front(std::move(ckpt));
@@ -94,12 +83,6 @@ void CheckpointStore::invalidate(std::uint64_t fingerprint) {
   if (it == by_fp_.end()) return;
   entries_.erase(it->second);
   by_fp_.erase(it);
-}
-
-void CheckpointStore::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  by_fp_.clear();
 }
 
 CheckpointStats CheckpointStore::stats() const {

@@ -1,4 +1,4 @@
-// CheckpointStore: fingerprint-keyed save/restore of best-so-far routings.
+// CheckpointStore: fingerprint-keyed save/restore of known-good routings.
 //
 // A survivable router needs somewhere safe to stand: when a repair
 // attempt on a degraded channel fails, the session must roll back to the
@@ -23,9 +23,8 @@
 //     for: an edited workload whose old routing no longer verifies is
 //     simply a miss, and the caller routes it afresh.
 //
-// save() keeps the better of the existing and the incoming state for a
-// fingerprint: lower weight when both carry one, the newcomer otherwise
-// ("best-so-far" under an objective, "most recent good" without one).
+// save() replaces any existing state for a fingerprint: the store holds
+// the most recent good routing per substrate.
 //
 // Thread-safe; all methods take an internal lock. Deterministic: no
 // clocks, no RNG — `sequence` is a per-store save counter, so equal call
@@ -51,17 +50,14 @@ namespace segroute::harness {
 struct RoutingCheckpoint {
   std::uint64_t fingerprint = 0;
   Routing routing;
-  double weight = 0.0;      // meaningful iff has_weight
-  bool has_weight = false;
   std::string source;       // who saved it (router / winner name)
   std::uint64_t sequence = 0;  // per-store save order (monotonic)
 };
 
 /// Store observability counters (a snapshot).
 struct CheckpointStats {
-  std::uint64_t saves = 0;      // save() calls accepted (insert or improve)
+  std::uint64_t saves = 0;      // save() calls
   std::uint64_t supersedes = 0; // saves that replaced an existing slot
-  std::uint64_t kept = 0;       // saves rejected: existing state was better
   std::uint64_t hits = 0;       // find/restore found the fingerprint
   std::uint64_t misses = 0;     // ... or did not
   std::uint64_t rejected = 0;   // restores rejected by re-verification
@@ -76,10 +72,8 @@ class CheckpointStore {
   /// slots are evicted (find/restore/save all refresh recency).
   explicit CheckpointStore(std::size_t capacity = 16);
 
-  /// Saves `routing` for `fingerprint`, keeping the better of old and
-  /// new: lower weight when both carry one, the newcomer otherwise.
+  /// Saves `routing` for `fingerprint`, replacing any earlier state.
   void save(std::uint64_t fingerprint, const Routing& routing,
-            std::optional<double> weight = std::nullopt,
             std::string source = {});
 
   /// The checkpoint for `fingerprint` (a copy), without verification.
@@ -95,8 +89,6 @@ class CheckpointStore {
 
   /// Drops the checkpoint for `fingerprint` (no-op when absent).
   void invalidate(std::uint64_t fingerprint);
-
-  void clear();
 
   [[nodiscard]] CheckpointStats stats() const;
 
