@@ -2,7 +2,11 @@
 //
 //   A. dp_route on every standard-suite instance (plus two larger
 //      generated ones) in all three problem modes: unlimited (Problem 1),
-//      K = 2 (Problem 2), weighted occupied-length (Problem 3);
+//      K = 2 (Problem 2), weighted occupied-length (Problem 3); plus one
+//      unlimited large-table row whose dedup table outgrows L2, so the
+//      batched-probe regime has a number. Each row also prints its
+//      expansions (dedup probes: nodes - 1 + dedup hits) and the share
+//      of them that were dedup hits, from the dp.* counters;
 //   B. Monte-Carlo routability() throughput, serial vs the thread pool,
 //      with a bit-identical-result check across thread counts;
 //   C. the parallel suite driver: harness::robust_route over the whole
@@ -43,6 +47,7 @@
 #include "harness/robust_route.h"
 #include "io/json.h"
 #include "io/table.h"
+#include "obs/metrics.h"
 #include "util/pool.h"
 
 using namespace segroute;
@@ -83,6 +88,10 @@ struct BenchRow {
   bool success = false;
   double weight = 0.0;
   std::size_t words_per_state = 0;  // packed occupancy words per frontier
+  // Dedup probes of one route and the share that hit an existing node;
+  // unset for registry rows and in builds without metrics.
+  std::optional<std::uint64_t> expansions = std::nullopt;
+  double dedup_hit_ratio = 0.0;
 };
 
 struct NamedInstance {
@@ -112,7 +121,20 @@ std::vector<NamedInstance> bench_instances() {
   return out;
 }
 
+/// A W=2 instance whose largest level holds about 120k nodes, so its
+/// dedup slot array (about 12 MB) is far past alg::kProbeBatchMinBytes.
+/// Section A only: section C keeps its twelve instances.
+NamedInstance large_table_instance() {
+  auto ch = gen::staggered_segmentation(12, 48, 6);
+  std::mt19937_64 rng(23);
+  auto cs = gen::routable_workload(ch, 36, 7.0, rng);
+  return {"gen-large", std::move(ch), std::move(cs)};
+}
+
 using bench::fmt;
+
+// Builds without metrics leave the dp.* counters at zero.
+constexpr bool kCountersLive = SEGROUTE_OBS_ENABLED != 0;
 
 }  // namespace
 
@@ -141,8 +163,14 @@ int main(int argc, char** argv) {
   // --- Section A: dp_route per instance and mode -------------------------
   const auto w = weights::occupied_length();
   std::vector<BenchRow> rows;
-  io::Table table({"instance", "mode", "ms/route", "nodes", "ok", "weight"});
-  for (const auto& inst : bench_instances()) {
+  io::Table table({"instance", "mode", "ms/route", "nodes", "expansions",
+                   "hit%", "ok", "weight"});
+  obs::Counter& nodes_created =
+      obs::Registry::instance().counter("dp.nodes_created");
+  obs::Counter& dedup_hits = obs::Registry::instance().counter("dp.dedup_hits");
+  std::vector<NamedInstance> section_a = bench_instances();
+  section_a.push_back(large_table_instance());
+  for (const auto& inst : section_a) {
     // Words per packed frontier for this instance — fixed by (tracks,
     // width), reported so perf JSON records the state layout it timed.
     alg::bits::FrontierCodec codec;
@@ -155,18 +183,35 @@ int main(int argc, char** argv) {
       row.key = inst.name + "/" + mode;
       row.words_per_state = wps;
       row.ms_per_route = time_ms_per_call(route, quick);
+      const std::uint64_t nodes0 = nodes_created.value();
+      const std::uint64_t hits0 = dedup_hits.value();
       const alg::RouteResult r = route();
       row.total_nodes = r.stats.total_nodes;
       row.success = r.success;
       row.weight = r.weight;
+      std::string exp_col = "-";
+      std::string hit_col = "-";
+      if (kCountersLive) {
+        // Every expansion is one dedup probe: it either appends a node
+        // (every node but the root) or hits an existing one.
+        const std::uint64_t hits = dedup_hits.value() - hits0;
+        row.expansions = nodes_created.value() - nodes0 - 1 + hits;
+        row.dedup_hit_ratio =
+            *row.expansions > 0 ? static_cast<double>(hits) /
+                                      static_cast<double>(*row.expansions)
+                                : 0.0;
+        exp_col = io::Table::num(*row.expansions);
+        hit_col = io::Table::num(100.0 * row.dedup_hit_ratio, 1);
+      }
       table.add_row({inst.name, mode, io::Table::num(row.ms_per_route, 4),
-                     io::Table::num(row.total_nodes),
+                     io::Table::num(row.total_nodes), exp_col, hit_col,
                      row.success ? "yes" : "no", io::Table::num(row.weight)});
       rows.push_back(row);
     };
     run_mode("unlimited", [&] {
       return alg::dp_route_unlimited(inst.channel, inst.connections);
     });
+    if (inst.name == "gen-large") continue;  // one row: the batched regime
     run_mode("k2", [&] {
       return alg::dp_route_ksegment(inst.channel, inst.connections, 2);
     });
@@ -282,6 +327,7 @@ int main(int argc, char** argv) {
   // --- JSON emission -----------------------------------------------------
   std::ostringstream js;
   js << "{\n  \"bench\": \"dp_hotpath\",\n  \"threads\": " << W
+     << ",\n  \"hardware_threads\": " << util::hardware_threads()
      << ",\n  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BenchRow& r = rows[i];
@@ -290,11 +336,16 @@ int main(int argc, char** argv) {
        << ", \"total_nodes\": " << r.total_nodes
        << ", \"success\": " << (r.success ? "true" : "false")
        << ", \"weight\": " << fmt(r.weight)
-       << ", \"words_per_state\": " << r.words_per_state << "}"
+       << ", \"words_per_state\": " << r.words_per_state;
+    if (r.expansions) {
+      js << ", \"expansions\": " << *r.expansions
+         << ", \"dedup_hit_ratio\": " << fmt(r.dedup_hit_ratio);
+    }
+    js << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   js << "  ],\n";
-  js << "  \"probe_batch\": " << alg::bits::ProbeBatch::kCapacity << ",\n";
+  js << "  \"probe_batch_min_bytes\": " << alg::kProbeBatchMinBytes << ",\n";
   js << "  \"routability\": {\"trials\": " << trials
      << ", \"rate\": " << fmt(rate_serial)
      << ", \"ms_serial\": " << fmt(ms_serial)

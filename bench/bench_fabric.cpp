@@ -11,6 +11,10 @@
 //   probes          channels each min-width search built (one per
 //                   route() call), for the negotiated and the
 //                   independent search, counted at the channel factory
+//   parts/critical  per negotiation iteration, the summed route time of
+//                   its channel parts and the largest single part's (the
+//                   critical path that bounds route_many's parallel
+//                   speedup), printed per iteration and summed per size
 //
 // plus a thread-scaling section on the largest size: the same fabric
 // routed at 1/2/8 threads, cache on and off — results must be
@@ -72,7 +76,10 @@ struct SizeRow {
   int probes = 0;
   int probes_independent = 0;
   double ms_route = 0.0;
+  std::vector<fpga::FabricResult::IterationTime> iteration_times;
 };
+
+double ns_to_ms(std::uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 
 struct Scenario {
   fpga::DeviceSpec dev;
@@ -132,7 +139,9 @@ int main(int argc, char** argv) {
 
   io::Table table(
       {"fabric", "nets", "min tracks", "independent", "iters", "probes",
-       "ms/route"});
+       "ms/route", "parts ms", "critical ms"});
+  io::Table per_iter(
+      {"fabric", "iteration", "parts", "parts ms", "critical ms", "share"});
   for (const Size& s : sizes) {
     const Scenario sc = make_scenario(s);
     int built = 0;  // channels built: one per route() call
@@ -163,14 +172,33 @@ int main(int argc, char** argv) {
     const double ms = ms_since(t0) / repeats;
     cache_last = res.cache;
 
+    // The last repeat's per-iteration split of route_many time.
+    std::uint64_t parts_ns = 0;
+    std::uint64_t critical_ns = 0;
+    for (std::size_t i = 0; i < res.iteration_times.size(); ++i) {
+      const auto& t = res.iteration_times[i];
+      parts_ns += t.parts_ns;
+      critical_ns += t.critical_ns;
+      per_iter.add_row(
+          {s.name, std::to_string(i + 1), std::to_string(t.parts),
+           io::Table::num(ns_to_ms(t.parts_ns), 3),
+           io::Table::num(ns_to_ms(t.critical_ns), 3),
+           io::Table::num(t.parts_ns > 0 ? static_cast<double>(t.critical_ns) /
+                                               static_cast<double>(t.parts_ns)
+                                         : 0.0,
+                          2)});
+    }
+
     table.add_row({s.name, std::to_string(s.nets), std::to_string(*negotiated),
                    std::to_string(*independent),
                    std::to_string(res.iterations),
                    std::to_string(probes) + " / " +
                        std::to_string(probes_independent),
-                   io::Table::num(ms, 3)});
+                   io::Table::num(ms, 3), io::Table::num(ns_to_ms(parts_ns), 3),
+                   io::Table::num(ns_to_ms(critical_ns), 3)});
     rows.push_back({"fabric/" + s.name, *negotiated, *independent,
-                    res.iterations, probes, probes_independent, ms});
+                    res.iterations, probes, probes_independent, ms,
+                    res.iteration_times});
   }
 
   // --- thread scaling on the largest size --------------------------------
@@ -216,6 +244,9 @@ int main(int argc, char** argv) {
 
   std::cout << "\nnegotiated fabric routing (" << repeats << " repeats)\n";
   table.print(std::cout);
+  std::cout << "\nper negotiation iteration at min tracks, 1 thread "
+               "(share = critical / parts)\n";
+  per_iter.print(std::cout);
   std::cout << (identical
                     ? "bit-identical across 1/2/8 threads, cache on/off\n"
                     : "DIGEST MISMATCH across threads or cache modes\n");
@@ -236,8 +267,19 @@ int main(int argc, char** argv) {
        << ", \"iterations\": " << r.iterations
        << ", \"probes\": " << r.probes
        << ", \"probes_independent\": " << r.probes_independent
-       << ", \"ms_route\": " << fmt(r.ms_route) << "}"
-       << (i + 1 < rows.size() ? "," : "") << "\n";
+       << ", \"ms_route\": " << fmt(r.ms_route);
+    const auto ms_list = [&](auto field) {
+      js << "[";
+      for (std::size_t k = 0; k < r.iteration_times.size(); ++k) {
+        js << (k ? ", " : "") << fmt(ns_to_ms(field(r.iteration_times[k])));
+      }
+      js << "]";
+    };
+    js << ", \"iteration_parts_ms\": ";
+    ms_list([](const auto& t) { return t.parts_ns; });
+    js << ", \"iteration_critical_ms\": ";
+    ms_list([](const auto& t) { return t.critical_ns; });
+    js << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   js << "  ],\n";
   js << "  \"hardware_threads\": " << util::hardware_threads() << ",\n";

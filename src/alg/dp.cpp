@@ -253,9 +253,16 @@ RouteResult dp_route(const SegmentedChannel& ch, const ConnectionSet& cs,
   std::uint64_t epoch = 0;
   std::size_t tbl_cap = 0;
   std::size_t mask = 0;
+  // Probe regime, re-decided whenever the table is resized (at a level
+  // start or mid-level): immediate while the slot array is below
+  // kProbeBatchMinBytes, staged in `batch` from there on. The table only
+  // grows within a call, so a level can switch to batching mid-level but
+  // never back.
+  bool batched = false;
   const auto rehash = [&](std::size_t cap) {
     tbl_cap = cap;
     mask = cap - 1;
+    batched = cap * stride * sizeof(std::uint64_t) >= kProbeBatchMinBytes;
     slots.assign(cap * stride, 0);
     for (std::int64_t id = nl_begin;
          id < static_cast<std::int64_t>(parent.size()); ++id) {
@@ -370,8 +377,9 @@ RouteResult dp_route(const SegmentedChannel& ch, const ConnectionSet& cs,
   };
   // Candidates resolve strictly in arrival order, so a flush is
   // semantically identical to immediate probing; prefetching every home
-  // slot first just overlaps their cache misses. Inline for the same
-  // reason as probe_one: with a batch of 1 this runs once per expansion.
+  // slot first just overlaps their cache misses. Immediate probing leaves
+  // the batch empty, so the flushes at a level's end and on failure are
+  // no-ops there.
   const auto flush_batch = [&]() -> bool {
     if (batch.count > 1) {
       for (std::size_t i = 0; i < batch.count; ++i) {
@@ -438,13 +446,6 @@ RouteResult dp_route(const SegmentedChannel& ch, const ConnectionSet& cs,
     } else if (cap > tbl_cap) {
       rehash(cap);  // the new level is empty: sizes and clears the table
     }
-    // Probe batching pays for itself only once the slot array outgrows
-    // L1; small levels resolve each candidate immediately (batch of 1 —
-    // same code path, same semantics).
-    const std::size_t flush_at =
-        cap * stride * sizeof(std::uint64_t) >= (32u << 10)
-            ? bits::ProbeBatch::kCapacity
-            : 1;
 
     // Budget accounting matches the scalar layout exactly — one tick per
     // (node, class) pair, skipped classes included — but the ticks for
@@ -547,7 +548,7 @@ RouteResult dp_route(const SegmentedChannel& ch, const ConnectionSet& cs,
           const std::uint64_t h = bits::hash_word(key);
           const double wgt = base_w + cls_w[static_cast<std::size_t>(cl)];
           bool inserted_ok;
-          if (flush_at == 1) {
+          if (!batched) {
             inserted_ok =
                 probe_w1(key, h, ni, static_cast<std::int32_t>(cl), wgt);
           } else {
@@ -658,10 +659,10 @@ RouteResult dp_route(const SegmentedChannel& ch, const ConnectionSet& cs,
         const std::uint64_t h = bits::hash_words(dst, W);
         const double wgt = base_w + cls_w[static_cast<std::size_t>(cl)];
         bool inserted_ok;
-        if (flush_at == 1) {
-          // Small level: resolve immediately — dst is the (empty)
-          // batch's first staging slot, and every probe argument is
-          // still in a register.
+        if (!batched) {
+          // Cache-resident table: resolve immediately — dst is the
+          // (empty) batch's first staging slot, and every probe argument
+          // is still in a register.
           inserted_ok =
               probe_state(dst, h, ni, static_cast<std::int32_t>(cl), wgt);
         } else {

@@ -19,12 +19,15 @@
 // Storage is bit-parallel: each frontier is packed into a fixed number
 // of 64-bit occupancy words (alg/frontier_bits.h; each entry takes
 // bit_width(width+1) bits), so state equality is a compare of 1-2 words,
-// hashing is a word-at-a-time mix, and dedup probes are staged in small
-// batches to overlap their cache misses. Packing is injective, so the
-// explored state space — node counts, routings, weights — is bit-
-// identical to the scalar layout. DESIGN.md §13 documents the layout.
+// hashing is a word-at-a-time mix, and a dedup probe resolves at once
+// while the dedup table is cache-resident; only past kProbeBatchMinBytes
+// are probes staged in small batches to overlap their cache misses.
+// Packing is injective, so the explored state space — node counts,
+// routings, weights — is bit-identical to the scalar layout. DESIGN.md
+// §13 documents the layout.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -37,6 +40,13 @@
 #include "harness/budget.h"
 
 namespace segroute::alg {
+
+/// Slot-array size at which dp_route starts staging dedup probes in a
+/// bits::ProbeBatch. Below it a probe resolves at once: the table is
+/// cache-resident and staging costs more than the prefetch hides. The
+/// value is the crossover measured with interleaved best-of runs on a
+/// 2 MB-per-core-L2 host (DESIGN.md §13.3).
+inline constexpr std::size_t kProbeBatchMinBytes = std::size_t{2} << 20;
 
 /// dp_route's scratch: every per-call vector (frontier arena, node
 /// metadata SoA, dedup table, per-level class tables, replay state) in
@@ -73,7 +83,10 @@ struct DpWorkspace {
   /// Pooled per-call word scratch: the clamped packed words and the
   /// ProbeBatch staging area share one allocation.
   std::vector<std::uint64_t> words;
-  bits::ProbeBatch batch;  // staged dedup probes (storage lives in words)
+  /// Staged dedup probes (storage lives in words). Probes are staged only
+  /// while the slot array is at least kProbeBatchMinBytes; below that the
+  /// multi-word path still builds each candidate in the first staging slot.
+  bits::ProbeBatch batch;
   std::vector<ConnId> order;
   std::vector<TrackId> class_members;  // member tracks, flattened by class
   std::vector<int> class_begin;        // per-class offsets into class_members

@@ -22,11 +22,14 @@
 //    replacing field-at-a-time FNV-1a.
 //  - words_equal: branchless state equality over 1..n words.
 //  - ProbeBatch: a small staging area that defers open-addressing
-//    probes so the slot-array cache misses of 4-8 candidates overlap.
+//    probes so the slot-array cache misses of up to 8 candidates overlap.
 //    Candidates are resolved strictly in arrival order, so dedup
 //    semantics (node ids, insertion order, min-weight updates) are
-//    identical to probing immediately. Storage is caller-provided so a
-//    workspace can pool it with its other word buffers.
+//    identical to probing immediately. It pays only once the slot array
+//    misses cache: the DP stages from alg::kProbeBatchMinBytes up, the
+//    generalized DP from 32 KB (DESIGN.md §13.3). Storage is
+//    caller-provided so a workspace can pool it with its other word
+//    buffers.
 //
 // Everything here is plain portable C++ — word ops only, no intrinsics;
 // the win comes from the data layout, and the clamp/pack loops are
@@ -241,9 +244,11 @@ class FrontierCodec {
 ///
 /// The caller stages a candidate by writing its packed words to
 /// slot_words() and push()ing its hash and metadata, then flushes when
-/// `count` reaches the level's batch size — prefetching every staged
-/// candidate's home slot first, then resolving them one by one in
-/// arrival order against the live table. Because resolution is
+/// the batch is full — prefetching every staged candidate's home slot
+/// first, then resolving them one by one in arrival order against the
+/// live table. Callers stage only while the table is too large for
+/// cache and probe immediately below that; staging a cache-resident
+/// probe costs more than the prefetch hides. Because resolution is
 /// sequential, a candidate sees every earlier candidate's insertion
 /// exactly as immediate probing would; only the memory latency of the
 /// initial slot loads is overlapped. Word storage is caller-provided

@@ -258,7 +258,9 @@ GeneralizedRouteResult generalized_dp_route(const SegmentedChannel& ch,
     while (cap < level.size() * 4) cap <<= 1;
     slots.assign(cap, -1);
     mask = cap - 1;
-    // Batch probes only once the slot array outgrows L1 (see dp.cpp).
+    // Batch probes once the slot array outgrows L1 (32 KB). Unlike the
+    // DP's inline-key table, each probe here also loads the candidate
+    // node's arena words, so staging pays from L1 on (DESIGN.md §13.3).
     const std::size_t flush_at =
         cap >= 4096 ? bits::ProbeBatch::kCapacity : 1;
 

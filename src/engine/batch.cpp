@@ -4,6 +4,7 @@
 
 #include "alg/registry.h"
 #include "core/router.h"
+#include "obs/clock.h"
 #include "obs/instrument.h"
 
 namespace segroute::engine {
@@ -210,8 +211,10 @@ std::vector<alg::RouteResult> BatchRouter::route_many(
 
 std::vector<alg::RouteResult> BatchRouter::route_many(
     const std::vector<ConnectionSet>& batch,
-    const std::vector<EngineRouteOptions>& opts) {
+    const std::vector<EngineRouteOptions>& opts,
+    std::vector<std::uint64_t>* elapsed_ns) {
   std::vector<alg::RouteResult> results(batch.size());
+  if (elapsed_ns) elapsed_ns->assign(batch.size(), 0);
   if (batch.empty()) return results;
   if (opts.size() != batch.size()) {
     for (auto& r : results) {
@@ -224,7 +227,9 @@ std::vector<alg::RouteResult> BatchRouter::route_many(
   pool_.parallel_for(static_cast<std::int64_t>(batch.size()),
                      [&](std::int64_t i) {
                        const auto k = static_cast<std::size_t>(i);
+                       const std::uint64_t t0 = elapsed_ns ? obs::now_ns() : 0;
                        results[k] = route(batch[k], opts[k]);
+                       if (elapsed_ns) (*elapsed_ns)[k] = obs::now_ns() - t0;
                      });
   return results;
 }

@@ -217,9 +217,12 @@ class BatchRouter {
   /// the shape a fabric sweep needs, where every channel carries its own
   /// congestion-priced weight. opts.size() must equal batch.size();
   /// a mismatch returns kInvalidInput results without routing anything.
+  /// A non-null `elapsed_ns` receives each instance's wall-clock route
+  /// time (elapsed_ns[i] for batch[i]; 0 for instances not routed).
   std::vector<alg::RouteResult> route_many(
       const std::vector<ConnectionSet>& batch,
-      const std::vector<EngineRouteOptions>& opts);
+      const std::vector<EngineRouteOptions>& opts,
+      std::vector<std::uint64_t>* elapsed_ns = nullptr);
 
   /// Re-points the engine at `ch` (which must outlive it), recomputing the
   /// fingerprint. The memo cache is kept: entries are fingerprint-keyed,

@@ -363,7 +363,17 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
         inst.push_back(Inst{c, std::move(part)});
       }
     }
-    const std::vector<alg::RouteResult> routed = eng.route_many(batch, batch_opts);
+    std::vector<std::uint64_t> part_ns;
+    const std::vector<alg::RouteResult> routed =
+        eng.route_many(batch, batch_opts, &part_ns);
+    FabricResult::IterationTime& itime = res.iteration_times.emplace_back();
+    itime.parts = static_cast<int>(part_ns.size());
+    for (const std::uint64_t ns : part_ns) {
+      itime.parts_ns += ns;
+      itime.critical_ns = std::max(itime.critical_ns, ns);
+    }
+    SEGROUTE_SPAN_TAG(iter_span, "parts_us", itime.parts_ns / 1000);
+    SEGROUTE_SPAN_TAG(iter_span, "critical_path_us", itime.critical_ns / 1000);
 
     // 3. STITCH parts back into per-channel routings and reports.
     for (int c = 0; c < C; ++c) {

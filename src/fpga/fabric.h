@@ -122,6 +122,17 @@ struct FabricResult {
                                               // per_channel)
   std::vector<FabricChannelReport> channels;
 
+  /// Per negotiation iteration: its number of channel parts, their
+  /// summed wall-clock route time, and the largest single part's — the
+  /// iteration's critical path, which no route_many parallelism can
+  /// shorten. Timings are excluded from the digest.
+  struct IterationTime {
+    int parts = 0;
+    std::uint64_t parts_ns = 0;
+    std::uint64_t critical_ns = 0;
+  };
+  std::vector<IterationTime> iteration_times;
+
   engine::CacheStats cache;  // engine counters (excluded from digest)
   std::uint64_t digest = 0;  // FNV over assignment + routings + outcome
   std::string note;

@@ -3,6 +3,7 @@
 #   -DMODE=thread|address   SEGROUTE_SANITIZE for the sub-build
 #   -DTARGET=<executable>   the test binary to build and run
 #   -DSOURCE_DIR, -DBUILD_DIR, -DCXX_COMPILER
+#   -DGTEST_FILTER=<filter> optional; empty runs every test in TARGET
 # Any sanitizer report fails the run: ASan and TSan abort on their own,
 # and UBSan is told to halt on its first finding.
 
@@ -33,10 +34,14 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${TARGET}: build failed (${rc})")
 endif()
 
+set(filter_arg "")
+if(GTEST_FILTER)
+  set(filter_arg "--gtest_filter=${GTEST_FILTER}")
+endif()
 execute_process(
   COMMAND "${CMAKE_COMMAND}" -E env
           UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
-          "${BUILD_DIR}/tests/${TARGET}"
+          "${BUILD_DIR}/tests/${TARGET}" ${filter_arg}
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${TARGET} failed (${rc}) under "

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <map>
 #include <random>
 #include <set>
+#include <tuple>
 
 #include "alg/exhaustive.h"
 #include "core/routing.h"
+#include "core/weights.h"
 #include "gen/fixtures.h"
 #include "gen/segmentation.h"
 #include "gen/workload.h"
@@ -294,6 +300,184 @@ TEST(Dp, NestedCallFromAWeightFnMatchesPlainCalls) {
   EXPECT_TRUE(outer.routing == outer_plain.routing);
   EXPECT_EQ(outer.stats.total_nodes, outer_plain.stats.total_nodes);
   EXPECT_EQ(outer.stats.nodes_per_level, outer_plain.stats.nodes_per_level);
+}
+
+// Independent breadth-first search over normalized frontiers, the paper's
+// Section IV-B DP written plainly: a frontier is a vector of per-track
+// next-free columns, normalized to at least the next connection's left
+// end and sorted within each class of identically segmented tracks. Each
+// level maps its distinct frontiers to their least path weight (0 without
+// a weight). Returns the level sizes and the least final weight.
+struct BfsLevels {
+  std::vector<std::size_t> sizes;
+  double weight = 0.0;
+};
+
+BfsLevels frontier_bfs(const SegmentedChannel& ch, const ConnectionSet& cs,
+                       const WeightFn* weight) {
+  // Positions grouped by class: pos_track[p] is the track at position p,
+  // and [class_lo[p], class_hi[p]) the class range that p belongs to.
+  const auto T = static_cast<std::size_t>(ch.num_tracks());
+  std::vector<TrackId> pos_track;
+  std::vector<std::size_t> class_lo(T), class_hi(T);
+  std::vector<char> placed(T, 0);
+  for (std::size_t t = 0; t < T; ++t) {
+    if (placed[t]) continue;
+    const std::size_t lo = pos_track.size();
+    for (std::size_t u = t; u < T; ++u) {
+      if (!placed[u] && ch.track(static_cast<TrackId>(u)) ==
+                            ch.track(static_cast<TrackId>(t))) {
+        placed[u] = 1;
+        pos_track.push_back(static_cast<TrackId>(u));
+      }
+    }
+    for (std::size_t p = lo; p < pos_track.size(); ++p) {
+      class_lo[p] = lo;
+      class_hi[p] = pos_track.size();
+    }
+  }
+  std::vector<ConnId> order(static_cast<std::size_t>(cs.size()));
+  for (ConnId i = 0; i < cs.size(); ++i) order[static_cast<std::size_t>(i)] = i;
+  std::stable_sort(order.begin(), order.end(), [&](ConnId a, ConnId b) {
+    return cs[a].left < cs[b].left;
+  });
+
+  using Frontier = std::vector<Column>;
+  const auto left_of = [&](std::size_t step) {
+    return step < order.size() ? cs[order[step]].left : ch.width() + 1;
+  };
+  std::map<Frontier, double> level{{Frontier(T, left_of(0)), 0.0}};
+  BfsLevels out;
+  out.sizes.push_back(1);
+  for (std::size_t step = 0; step < order.size() && !level.empty(); ++step) {
+    const Connection& c = cs[order[step]];
+    const Column next_left = left_of(step + 1);
+    std::map<Frontier, double> next;
+    for (const auto& [x, w] : level) {
+      for (std::size_t p = 0; p < T; ++p) {
+        if (x[p] > c.left) continue;  // track busy at the left end
+        const Track& tr = ch.track(pos_track[p]);
+        const double cost =
+            weight ? w + (*weight)(ch, c, pos_track[p]) : 0.0;
+        if (std::isinf(cost)) continue;
+        Frontier y = x;
+        y[p] = tr.segment(tr.segment_at(c.right)).right + 1;
+        for (Column& v : y) v = std::max(v, next_left);
+        std::sort(y.begin() + static_cast<std::ptrdiff_t>(class_lo[p]),
+                  y.begin() + static_cast<std::ptrdiff_t>(class_hi[p]));
+        const auto [it, fresh] = next.emplace(std::move(y), cost);
+        if (!fresh) it->second = std::min(it->second, cost);
+      }
+    }
+    level = std::move(next);
+    out.sizes.push_back(level.size());
+  }
+  out.weight = level.empty() ? std::numeric_limits<double>::infinity()
+                             : level.begin()->second;
+  for (const auto& [x, w] : level) out.weight = std::min(out.weight, w);
+  return out;
+}
+
+// dp_route's dedup table, replayed from its level sizes: the slot array
+// size in bytes at every resize, and whether probes were being batched
+// (slot array >= kProbeBatchMinBytes) when it happened. Mirrors the
+// sizing rule in dp.cpp: at least 4x the level being expanded at a level
+// start, doubled mid-level once half full.
+struct TableGrowth {
+  std::size_t max_bytes = 0;
+  // A mid-level resize reached the threshold.
+  bool crossed_mid_level = false;
+  // A mid-level resize happened in the batched regime.
+  bool resized_while_batched = false;
+};
+
+TableGrowth replay_table(const SegmentedChannel& ch,
+                         const std::vector<std::size_t>& nodes_per_level) {
+  bits::FrontierCodec codec;
+  codec.init_uniform(static_cast<std::size_t>(ch.num_tracks()),
+                     static_cast<std::uint32_t>(ch.width() + 1));
+  const std::size_t slot_bytes = (codec.words() + 1) * sizeof(std::uint64_t);
+  TableGrowth g;
+  std::size_t cap = 0;
+  for (std::size_t i = 1; i < nodes_per_level.size(); ++i) {
+    std::size_t c = cap != 0 ? cap : 64;
+    while (c < nodes_per_level[i - 1] * 4) c <<= 1;
+    cap = std::max(cap, c);
+    while (cap / 2 <= nodes_per_level[i]) {
+      const bool batched = cap * slot_bytes >= kProbeBatchMinBytes;
+      g.resized_while_batched |= batched;
+      g.crossed_mid_level |=
+          !batched && 2 * cap * slot_bytes >= kProbeBatchMinBytes;
+      cap *= 2;
+    }
+    g.max_bytes = std::max(g.max_bytes, cap * slot_bytes);
+  }
+  return g;
+}
+
+// `feas` is dp_route_unlimited(ch, cs); Problem 3 is routed here.
+void expect_levels_match_bfs(const SegmentedChannel& ch,
+                             const ConnectionSet& cs,
+                             const RouteResult& feas) {
+  const WeightFn w = weights::occupied_length();
+  EXPECT_EQ(feas.stats.nodes_per_level, frontier_bfs(ch, cs, nullptr).sizes);
+
+  const RouteResult opt = dp_route_optimal(ch, cs, w);
+  ASSERT_TRUE(opt.success) << opt.note;
+  const BfsLevels bfs = frontier_bfs(ch, cs, &w);
+  EXPECT_EQ(opt.stats.nodes_per_level, bfs.sizes);
+  EXPECT_EQ(opt.weight, bfs.weight);
+  EXPECT_EQ(total_weight(ch, cs, opt.routing, w), opt.weight);
+}
+
+// Dedup probes resolve immediately below kProbeBatchMinBytes and through
+// the staged batch above it. Both regimes, on the one-word and the
+// multi-word path, must explore exactly the frontiers of an independent
+// search, level by level, in feasibility mode and under Problem 3's
+// min-weight updates.
+TEST(Dp, CacheResidentLevelsMatchAnIndependentFrontierSearch) {
+  // Repeated track types, so canonicalization merges frontiers: one
+  // packed word per frontier (4 types), then two (6 types).
+  for (const auto& [ch, m, seed] :
+       {std::tuple{gen::staggered_segmentation(8, 96, 4), 40, 2001},
+        std::tuple{gen::staggered_segmentation(12, 48, 6), 24, 5}}) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(seed));
+    const auto cs = gen::routable_workload(ch, m, 7.0, rng);
+    const RouteResult r = dp_route_unlimited(ch, cs);
+    ASSERT_TRUE(r.success);
+    EXPECT_LT(ch.num_types(), ch.num_tracks());
+    EXPECT_LT(replay_table(ch, r.stats.nodes_per_level).max_bytes,
+              kProbeBatchMinBytes);
+    expect_levels_match_bfs(ch, cs, r);
+  }
+}
+
+TEST(Dp, BatchedProbeLevelsMatchAnIndependentFrontierSearch) {
+  // Two packed words per frontier: a 76k-node level grows the slot array
+  // from 1.5 MB through the threshold to 6 MB mid-level.
+  {
+    const auto ch = gen::staggered_segmentation(12, 48, 12);
+    std::mt19937_64 rng(23);
+    const auto cs = gen::routable_workload(ch, 18, 7.0, rng);
+    const RouteResult r = dp_route_unlimited(ch, cs);
+    ASSERT_TRUE(r.success);
+    const TableGrowth g = replay_table(ch, r.stats.nodes_per_level);
+    EXPECT_TRUE(g.crossed_mid_level);
+    EXPECT_TRUE(g.resized_while_batched);
+    expect_levels_match_bfs(ch, cs, r);
+  }
+  // One packed word: a 74k-node level starts batched at 2 MB and grows
+  // to 4 MB mid-level.
+  {
+    const auto ch = gen::staggered_segmentation(10, 40, 10);
+    std::mt19937_64 rng(10);
+    const auto cs = gen::routable_workload(ch, 16, 10.0, rng);
+    const RouteResult r = dp_route_unlimited(ch, cs);
+    ASSERT_TRUE(r.success);
+    EXPECT_TRUE(
+        replay_table(ch, r.stats.nodes_per_level).resized_while_batched);
+    expect_levels_match_bfs(ch, cs, r);
+  }
 }
 
 }  // namespace
