@@ -77,6 +77,8 @@ struct PathRow {
   double ms_per_route = 0.0;
 };
 
+#if SEGROUTE_OBS_ENABLED
+// The obs gate's reference time for a row measured in this run.
 std::optional<double> row_ms(const std::vector<PathRow>& rows,
                              const std::string& key) {
   for (const PathRow& r : rows) {
@@ -84,6 +86,7 @@ std::optional<double> row_ms(const std::vector<PathRow>& rows,
   }
   return std::nullopt;
 }
+#endif
 
 /// --obs-gate: verifies that enabled-but-idle observability (obs
 /// compiled in, no TraceSession active) costs < 2% of a steady-state

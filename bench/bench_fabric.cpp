@@ -11,10 +11,13 @@
 //   probes          channels each min-width search built (one per
 //                   route() call), for the negotiated and the
 //                   independent search, counted at the channel factory
-//   parts/critical  per negotiation iteration, the summed route time of
-//                   its channel parts and the largest single part's (the
-//                   critical path that bounds route_many's parallel
-//                   speedup), printed per iteration and summed per size
+//   parts/critical  per negotiation iteration, the channel parts it
+//                   routed and the parts it certified infeasible by
+//                   column density without routing, the summed route
+//                   time of the routed parts and the largest single
+//                   part's (the critical path that bounds route_many's
+//                   parallel speedup), printed per iteration and summed
+//                   per size
 //
 // plus a thread-scaling section on the largest size: the same fabric
 // routed at 1/2/8 threads, cache on and off — results must be
@@ -141,7 +144,8 @@ int main(int argc, char** argv) {
       {"fabric", "nets", "min tracks", "independent", "iters", "probes",
        "ms/route", "parts ms", "critical ms"});
   io::Table per_iter(
-      {"fabric", "iteration", "parts", "parts ms", "critical ms", "share"});
+      {"fabric", "iteration", "parts", "over-dense", "parts ms", "critical ms",
+       "share"});
   for (const Size& s : sizes) {
     const Scenario sc = make_scenario(s);
     int built = 0;  // channels built: one per route() call
@@ -181,6 +185,7 @@ int main(int argc, char** argv) {
       critical_ns += t.critical_ns;
       per_iter.add_row(
           {s.name, std::to_string(i + 1), std::to_string(t.parts),
+           std::to_string(t.over_dense),
            io::Table::num(ns_to_ms(t.parts_ns), 3),
            io::Table::num(ns_to_ms(t.critical_ns), 3),
            io::Table::num(t.parts_ns > 0 ? static_cast<double>(t.critical_ns) /
@@ -268,17 +273,19 @@ int main(int argc, char** argv) {
        << ", \"probes\": " << r.probes
        << ", \"probes_independent\": " << r.probes_independent
        << ", \"ms_route\": " << fmt(r.ms_route);
-    const auto ms_list = [&](auto field) {
-      js << "[";
+    const auto list = [&](const char* name, auto field) {
+      js << ", \"" << name << "\": [";
       for (std::size_t k = 0; k < r.iteration_times.size(); ++k) {
-        js << (k ? ", " : "") << fmt(ns_to_ms(field(r.iteration_times[k])));
+        js << (k ? ", " : "") << field(r.iteration_times[k]);
       }
       js << "]";
     };
-    js << ", \"iteration_parts_ms\": ";
-    ms_list([](const auto& t) { return t.parts_ns; });
-    js << ", \"iteration_critical_ms\": ";
-    ms_list([](const auto& t) { return t.critical_ns; });
+    list("iteration_parts", [](const auto& t) { return t.parts; });
+    list("iteration_over_dense", [](const auto& t) { return t.over_dense; });
+    list("iteration_parts_ms",
+         [](const auto& t) { return fmt(ns_to_ms(t.parts_ns)); });
+    list("iteration_critical_ms",
+         [](const auto& t) { return fmt(ns_to_ms(t.critical_ns)); });
     js << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   js << "  ],\n";

@@ -312,10 +312,15 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
 
     // 2. ROUTE all channels concurrently: decompose each channel at safe
     // columns and feed every part as one instance of a single
-    // route_many() sweep with per-instance (λ-priced) options.
+    // route_many() sweep with per-instance (λ-priced) options. A part
+    // whose plain column density exceeds the track count is certified
+    // infeasible instead: more connections cross one of its columns than
+    // there are tracks, so no routing exists under any segment limit or
+    // weight, and the DP would only rediscover that level by level.
     struct Inst {
       int channel = 0;
       std::vector<ConnId> ids;  // part ids within the channel's set
+      bool over_dense = false;  // certified by density, not routed
     };
     std::vector<Inst> inst;
     std::vector<ConnectionSet> batch;
@@ -358,9 +363,12 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
       for (auto& part : parts) {
         ConnectionSet pcs;
         for (ConnId id : part) pcs.add(cs[id].left, cs[id].right, cs[id].name);
-        batch.push_back(std::move(pcs));
-        batch_opts.push_back(eo);
-        inst.push_back(Inst{c, std::move(part)});
+        const bool over_dense = pcs.density() > tracks;
+        if (!over_dense) {
+          batch.push_back(std::move(pcs));
+          batch_opts.push_back(eo);
+        }
+        inst.push_back(Inst{c, std::move(part), over_dense});
       }
     }
     std::vector<std::uint64_t> part_ns;
@@ -368,12 +376,19 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
         eng.route_many(batch, batch_opts, &part_ns);
     FabricResult::IterationTime& itime = res.iteration_times.emplace_back();
     itime.parts = static_cast<int>(part_ns.size());
+    itime.over_dense = static_cast<int>(inst.size() - batch.size());
     for (const std::uint64_t ns : part_ns) {
       itime.parts_ns += ns;
       itime.critical_ns = std::max(itime.critical_ns, ns);
     }
-    SEGROUTE_SPAN_TAG(iter_span, "parts_us", itime.parts_ns / 1000);
-    SEGROUTE_SPAN_TAG(iter_span, "critical_path_us", itime.critical_ns / 1000);
+    // A span keeps one tag (`failed`, below), so the split is instants.
+    SEGROUTE_INSTANT("fabric.iteration.routed", "parts",
+                     static_cast<std::uint64_t>(itime.parts));
+    SEGROUTE_INSTANT("fabric.iteration.over_dense", "parts",
+                     static_cast<std::uint64_t>(itime.over_dense));
+    SEGROUTE_INSTANT("fabric.iteration.parts_us", "us", itime.parts_ns / 1000);
+    SEGROUTE_INSTANT("fabric.iteration.critical_path_us", "us",
+                     itime.critical_ns / 1000);
 
     // 3. STITCH parts back into per-channel routings and reports.
     for (int c = 0; c < C; ++c) {
@@ -386,9 +401,14 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
       res.routings[static_cast<std::size_t>(c)] =
           Routing(res.per_channel[static_cast<std::size_t>(c)].size());
     }
+    alg::RouteResult certified;
+    certified.fail(alg::FailureKind::kInfeasible,
+                   "column density exceeds the track count");
+    std::size_t next = 0;  // routed results, in part order
     for (std::size_t i = 0; i < inst.size(); ++i) {
       auto& rep = res.channels[static_cast<std::size_t>(inst[i].channel)];
-      const alg::RouteResult& pr = routed[i];
+      const alg::RouteResult& pr =
+          inst[i].over_dense ? certified : routed[next++];
       if (pr.success) {
         Routing& r = res.routings[static_cast<std::size_t>(inst[i].channel)];
         for (std::size_t j = 0; j < inst[i].ids.size(); ++j) {

@@ -19,7 +19,10 @@
 //                 set is split at safe columns (alg/decompose) and every
 //                 part is a batch instance of one shared
 //                 engine::BatchRouter over the common substrate,
-//                 routed by the exact DP (registry "dp");
+//                 routed by the exact DP (registry "dp"); a part whose
+//                 column density exceeds the track count is reported
+//                 kInfeasible without routing (no track assignment
+//                 exists), which is what the DP would prove;
 //     3. PRICE    update the congestion costs from the outcome:
 //                 column history for overused spans, per-(channel,
 //                 track-class) Lagrangian multipliers for scarce
@@ -95,6 +98,9 @@ struct FabricOptions {
   /// deterministic per-instance slices: max_ticks / (max_iterations *
   /// num_channels), at least 1. A deadline is sliced the same way but
   /// is inherently wall-clock-jittery (see the determinism contract).
+  /// A part whose column density exceeds the track count spends none of
+  /// its slice: it reports kInfeasible even under a 1-tick budget or a
+  /// cancelled one, because a proof wins over a budget stop.
   harness::Budget budget;
 };
 
@@ -122,12 +128,15 @@ struct FabricResult {
                                               // per_channel)
   std::vector<FabricChannelReport> channels;
 
-  /// Per negotiation iteration: its number of channel parts, their
+  /// Per negotiation iteration: the channel parts it routed through
+  /// route_many, the parts it certified infeasible by column density
+  /// without routing them (not counted in `parts`), the routed parts'
   /// summed wall-clock route time, and the largest single part's — the
   /// iteration's critical path, which no route_many parallelism can
-  /// shorten. Timings are excluded from the digest.
+  /// shorten. Excluded from the digest.
   struct IterationTime {
     int parts = 0;
+    int over_dense = 0;
     std::uint64_t parts_ns = 0;
     std::uint64_t critical_ns = 0;
   };

@@ -136,7 +136,8 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
   };
 
   for (int i = 0; i < opts.cycles; ++i) {
-    SEGROUTE_SPAN(cycle_span, "chaos.cycle", "cycle", i);
+    SEGROUTE_SPAN(cycle_span, "chaos.cycle", "cycle",
+                  static_cast<std::uint64_t>(i));
     ChaosCycle rec;
     rec.storm_seed = master();
 
@@ -225,7 +226,8 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
     // storms' edits produced. Digest folding is gated on the option so
     // edits_per_cycle == 0 reproduces the legacy digests bit for bit.
     if (session) {
-      SEGROUTE_SPAN(edit_span, "chaos.edits", "cycle", i);
+      SEGROUTE_SPAN(edit_span, "chaos.edits", "cycle",
+                    static_cast<std::uint64_t>(i));
       std::mt19937_64 erng(rec.storm_seed ^ 0x9e3779b97f4a7c15ull);
       const Column width = ch.width();
       // Bound session growth so late cycles still mix add/remove/move

@@ -7,6 +7,9 @@
 #include <set>
 #include <vector>
 
+#include "alg/decompose.h"
+#include "alg/registry.h"
+#include "core/router.h"
 #include "core/routing.h"
 #include "engine/batch.h"
 #include "fpga/netlist.h"
@@ -178,6 +181,150 @@ TEST(Fabric, BudgetExhaustionReportsPerChannelFailure) {
   // Tick budgets stay deterministic: same starved run, same digest.
   const FabricResult res2 = fr.route(/*tracks=*/6, o);
   EXPECT_EQ(res.digest, res2.digest);
+}
+
+TEST(Fabric, OverDensePartIsInfeasibleUnderAOneTickBudget) {
+  // MinWidthSearchStartsAtTheHallBound's fixture at one track: three
+  // trunks cross column 3 and row 0 reaches two channels, so one channel
+  // gets a part of density 2. With one tick per channel the DP stops on
+  // its budget (kBudgetExhausted); the density check proves the part
+  // infeasible without spending a tick, and a proof wins over a budget
+  // stop.
+  DeviceSpec dev;
+  dev.rows = 2;
+  dev.slots_per_row = 4;
+  dev.cell_width = 2;
+  const Netlist nl(8, {CellNet{{0, 1}, "A"}, CellNet{{0, 2}, "B"},
+                       CellNet{{1, 3}, "C"}});
+  const Placement p = sequential_placement(nl, dev.rows, dev.slots_per_row);
+  const FabricRouter fr(dev, nl, p, [](int tracks, Column width) {
+    return SegmentedChannel::unsegmented(tracks, width);
+  });
+  FabricOptions o;
+  o.max_iterations = 1;
+  o.budget = harness::Budget::with_ticks(dev.num_channels());  // 1 tick each
+  const FabricResult res = fr.route(/*tracks=*/1, o);
+  EXPECT_FALSE(res.success);
+  EXPECT_EQ(res.note.find("budget"), std::string::npos) << res.note;
+  ASSERT_EQ(res.iteration_times.size(), 1u);
+  EXPECT_EQ(res.iteration_times[0].over_dense, 1);
+  int over_dense = 0;
+  for (const auto& rep : res.channels) {
+    EXPECT_NE(rep.failure, alg::FailureKind::kBudgetExhausted);
+    if (rep.density > 1) {
+      ++over_dense;
+      EXPECT_FALSE(rep.routed);
+      EXPECT_EQ(rep.failure, alg::FailureKind::kInfeasible);
+    }
+  }
+  EXPECT_EQ(over_dense, 1);
+}
+
+// Seeded scenarios of MinWidthSearchSkipsOnlyInfeasibleWidths whose
+// negotiation overfills channels on the way: routed at their minimum width
+// and at the two widths below it, where many parts are over-dense.
+struct PinnedRoute {
+  std::uint64_t seed;
+  int tracks;
+  bool success;
+  int iterations;
+  std::uint64_t digest;
+};
+
+Scenario pinned_scenario(std::uint64_t seed) {
+  const bool tall = seed % 3 == 0;
+  return make_scenario(seed, tall ? 5 : 3, tall ? 10 : 8, tall ? 24 : 14);
+}
+
+TEST(Fabric, OverDensePartsKeepEveryOutcome) {
+  // Recorded before over-dense parts skipped the DP: each digest covers
+  // the assignment, every routing and every channel's failure kind.
+  const PinnedRoute pinned[] = {
+      {4, 3, true, 4, 0xf996c6fc91478987ull},
+      {4, 2, false, 6, 0x5d6a61b87df3dd20ull},
+      {4, 1, false, 6, 0x597a5cc9adf4b842ull},
+      {15, 4, true, 4, 0x6ef68254ef419d61ull},
+      {15, 3, false, 6, 0x40a074a2c237e267ull},
+      {15, 2, false, 6, 0xf32a0f4b78bd19c3ull},
+      {24, 4, true, 5, 0x6bbdd95df3346f23ull},
+      {24, 3, false, 6, 0xe11516c629c574e0ull},
+      {24, 2, false, 6, 0xf9840bd2fcba9b25ull},
+      {29, 3, true, 3, 0x5a69e97ba18a7341ull},
+      {29, 2, false, 6, 0xa33dd1b79f2de221ull},
+      {29, 1, false, 6, 0xb644842682e4eac2ull},
+  };
+  FabricOptions o;
+  o.max_iterations = 6;
+  int over_dense = 0;
+  for (const PinnedRoute& pin : pinned) {
+    const Scenario sc = pinned_scenario(pin.seed);
+    const FabricRouter fr(sc.dev, sc.nl, sc.p, staggered_factory(5));
+    if (pin.success) {
+      EXPECT_EQ(fr.min_fabric_tracks(16, o), pin.tracks) << "seed " << pin.seed;
+    }
+    const FabricResult r = fr.route(pin.tracks, o);
+    EXPECT_EQ(r.success, pin.success)
+        << "seed " << pin.seed << " tracks " << pin.tracks;
+    EXPECT_EQ(r.iterations, pin.iterations)
+        << "seed " << pin.seed << " tracks " << pin.tracks;
+    EXPECT_EQ(r.digest, pin.digest)
+        << "seed " << pin.seed << " tracks " << pin.tracks;
+    for (const auto& t : r.iteration_times) over_dense += t.over_dense;
+  }
+  EXPECT_GT(over_dense, 0);  // the density check answered some parts
+}
+
+TEST(Fabric, OverDensePartsAreInfeasibleForTheDp) {
+  // Re-derive each iteration's parts: a route capped at k iterations runs
+  // the first k iterations of the uncapped one and stops with iteration
+  // k's assignment. Every part over the track count must be one the
+  // registry's DP proves infeasible, and the counts must match the
+  // fabric's per-iteration report.
+  FabricOptions o;
+  o.max_iterations = 6;
+  int checked = 0;
+  for (const std::uint64_t seed : {4u, 29u}) {
+    const Scenario sc = pinned_scenario(seed);
+    const auto make = staggered_factory(5);
+    const FabricRouter fr(sc.dev, sc.nl, sc.p, make);
+    for (const int tracks : {2, 3}) {
+      const FabricResult full = fr.route(tracks, o);
+      const SegmentedChannel sub = make(tracks, sc.dev.columns());
+      for (int k = 1; k <= full.iterations; ++k) {
+        FabricOptions ok = o;
+        ok.max_iterations = k;
+        const FabricResult r = fr.route(tracks, ok);
+        int parts = 0;
+        int over_dense = 0;
+        for (const ConnectionSet& cs : r.per_channel) {
+          if (cs.empty()) continue;
+          for (const auto& part : alg::split_parts(sub, cs)) {
+            ConnectionSet pcs;
+            for (ConnId id : part) pcs.add(cs[id].left, cs[id].right);
+            if (pcs.density() <= tracks) {
+              ++parts;
+              continue;
+            }
+            ++over_dense;
+            RouteRequest req;
+            req.channel = &sub;
+            req.connections = &pcs;
+            EXPECT_EQ(alg::route("dp", req).failure,
+                      alg::FailureKind::kInfeasible)
+                << "seed " << seed << " tracks " << tracks
+                << " iteration " << k;
+          }
+        }
+        const auto& t = full.iteration_times[static_cast<std::size_t>(k - 1)];
+        EXPECT_EQ(over_dense, t.over_dense)
+            << "seed " << seed << " tracks " << tracks << " iteration " << k;
+        EXPECT_EQ(parts, t.parts)
+            << "seed " << seed << " tracks " << tracks << " iteration " << k;
+        checked += over_dense;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 TEST(Fabric, ShardedCacheStatsMatchUnshardedOnReplay) {
