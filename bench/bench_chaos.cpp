@@ -2,12 +2,13 @@
 //
 // Runs the deterministic chaos schedule (harness::run_chaos) — seeded
 // fault storms driving a BatchRouter session through degrade -> reroute
-// -> recover cycles with checkpoint rollback and the partial fallback —
-// at 1, 2 and 8 worker threads, and prints the per-thread soak table.
+// -> recover cycles with rollback to the verified baseline and the
+// partial fallback — at 1, 2 and 8 worker threads, and prints the
+// per-thread soak table.
 //
 // Checked invariants (exit 1 on violation):
 //   - every run completes with ok = true (no verify failures, no
-//     checkpoint-restore mismatches);
+//     recover-phase mismatches against the baseline);
 //   - the report digest is bit-identical across thread counts (the
 //     determinism contract of harness/chaos.h);
 //   - a different master seed produces a different digest.

@@ -61,8 +61,8 @@ class SegmentedChannel {
 };
 
 /// FNV-1a hash of the full channel structure (width, track count, every
-/// segment boundary). It keys the BatchRouter memo cache and the
-/// CheckpointStore: two channels with equal fingerprints are structurally
+/// segment boundary). It keys the BatchRouter memo cache and its targeted
+/// invalidation: two channels with equal fingerprints are structurally
 /// identical for routing purposes (collisions are possible in principle
 /// but need 2^32-scale channel populations), and any structural edit —
 /// including a FaultPlan-materialized degraded channel — changes it, so

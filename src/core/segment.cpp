@@ -3,7 +3,14 @@
 namespace segroute {
 
 std::string to_string(const Segment& s) {
-  return "(" + std::to_string(s.left) + ", " + std::to_string(s.right) + ")";
+  // Appended, not `"(" + ...`: g++ 12 at -O3 raises a false -Wrestrict
+  // on a literal + std::string concatenation.
+  std::string out = "(";
+  out += std::to_string(s.left);
+  out += ", ";
+  out += std::to_string(s.right);
+  out += ')';
+  return out;
 }
 
 }  // namespace segroute

@@ -287,12 +287,4 @@ std::vector<CacheStats> BatchRouter::shard_stats() const {
   return out;
 }
 
-void BatchRouter::clear_cache() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->entries.clear();
-    shard->by_key.clear();
-  }
-}
-
 }  // namespace segroute::engine

@@ -242,8 +242,6 @@ class BatchRouter {
   /// sums equal cache_stats() up to updates racing the walk.
   [[nodiscard]] std::vector<CacheStats> shard_stats() const;
 
-  void clear_cache();
-
  private:
   struct CacheKey {
     std::string router;  // registry name the result came from

@@ -20,6 +20,16 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
+// The fixed soak setup (see ChaosOptions). A cycle at ramp position p in
+// [1/kEscalationPeriod .. 1] fails each switch / segment with
+// p * kMaxSwitchFail / p * kMaxSegmentFail.
+constexpr const char* kRouter = "dp";
+constexpr int kMaxSegments = 0;  // unlimited
+constexpr double kMaxSwitchFail = 0.35;
+constexpr double kMaxSegmentFail = 0.15;
+constexpr int kEscalationPeriod = 16;
+constexpr std::size_t kCacheCapacity = 256;
+
 /// Degraded-coordinate routing -> original-track coordinates.
 Routing map_back(const Routing& r, const FaultyChannel& degraded,
                  ConnId num_conns) {
@@ -42,18 +52,19 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
   engine::BatchOptions bo;
   bo.threads = opts.threads;
   bo.use_cache = true;
-  bo.cache_capacity = opts.cache_capacity;
+  bo.cache_capacity = kCacheCapacity;
   engine::BatchRouter engine(ch, bo);
   const std::uint64_t base_fp = engine.fingerprint();
 
   engine::EngineRouteOptions ro;
-  ro.router = opts.router;
-  ro.max_segments = opts.max_segments;
+  ro.router = kRouter;
+  ro.max_segments = kMaxSegments;
 
   VerifyOptions vo;
-  vo.max_segments = opts.max_segments;
+  vo.max_segments = kMaxSegments;
 
-  // Baseline: the known-good state every rollback returns to.
+  // Baseline: the known-good state every rollback returns to. It is
+  // verified once here and never changes.
   const alg::RouteResult base = engine.route(cs, ro);
   const RouteVerifier base_verifier(ch, cs);
   if (!base.success) {
@@ -68,8 +79,6 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
     return report;
   }
 
-  CheckpointStore ckpts(32);
-  ckpts.save(base_fp, base.routing, "baseline");
   Routing live = base.routing;  // the session's live, original-coordinate
                                 // routing — what rollback protects
 
@@ -88,7 +97,6 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
   }
 
   std::mt19937_64 master(opts.seed);
-  const int period = std::max(1, opts.escalation_period);
 
   // Edit stream (edits_per_cycle > 0): a live OnlineRouter session on
   // the base channel, driven by per-cycle RNGs derived from the storm
@@ -97,8 +105,7 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
   std::optional<alg::OnlineRouter> session;
   std::vector<ConnId> session_ids;  // live ids, for remove/move targets
   if (opts.edits_per_cycle > 0) {
-    session.emplace(ch, alg::OnlineRouter::Policy::BestFit,
-                    opts.max_segments);
+    session.emplace(ch, alg::OnlineRouter::Policy::BestFit, kMaxSegments);
   }
 
   std::uint64_t digest = kFnvOffset;
@@ -120,19 +127,13 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
         (c.partial ? 4u : 0u) | (c.rolled_back ? 8u : 0u));
   };
 
-  // Rolls the live routing back to the base checkpoint (re-verified).
+  // Rolls the live routing back to the verified baseline.
   const auto rollback = [&](ChaosCycle& rec) {
-    if (const auto c = ckpts.restore(base_fp, ch, cs, vo)) {
-      live = c->routing;
-      rec.rolled_back = true;
-      ++report.rollbacks;
-      SEGROUTE_COUNT("recover.rollbacks", 1);
-      SEGROUTE_INSTANT("recover.rollback", "to", "baseline");
-    } else {
-      // The base checkpoint must always restore; losing it is a harness
-      // invariant violation, surfaced the same way as a recover mismatch.
-      ++report.restore_mismatches;
-    }
+    live = base.routing;
+    rec.rolled_back = true;
+    ++report.rollbacks;
+    SEGROUTE_COUNT("recover.rollbacks", 1);
+    SEGROUTE_INSTANT("recover.rollback", "to", "baseline");
   };
 
   for (int i = 0; i < opts.cycles; ++i) {
@@ -143,10 +144,11 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
 
     // Severity ramps over the period, then resets: every period ends in
     // a storm heavy enough to force rollbacks.
-    const double ramp = static_cast<double>((i % period) + 1) / period;
+    const double ramp =
+        static_cast<double>((i % kEscalationPeriod) + 1) / kEscalationPeriod;
     FaultPlan plan;
-    plan.switch_fail_prob = opts.max_switch_fail * ramp;
-    plan.segment_fail_prob = opts.max_segment_fail * ramp;
+    plan.switch_fail_prob = kMaxSwitchFail * ramp;
+    plan.segment_fail_prob = kMaxSegmentFail * ramp;
     plan.seed = rec.storm_seed;
     const std::vector<Fault> faults = canonicalize(ch, plan.sample(ch));
     rec.faults = static_cast<int>(faults.size());
@@ -182,15 +184,15 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
       rec.routed = static_cast<int>(cs.size());
       ++report.reroutes;
       live = map_back(primary.routing, *degraded, cs.size());
-      ckpts.save(deg_fp, primary.routing, "reroute");
     } else {
       if (primary.success) ++report.verify_failures;  // corrupt reroute
       // Failed repair: salvage what we can, then roll back the live
-      // state so a half-applied repair never survives.
-      if (opts.allow_partial) {
+      // state so a half-applied repair never survives. (The block scopes
+      // the span to the partial fallback.)
+      {
         SEGROUTE_SPAN(partial_span, "chaos.partial");
         alg::PartialOptions po;
-        po.max_segments = opts.max_segments;
+        po.max_segments = kMaxSegments;
         const alg::RouteResult pr =
             alg::partial_route(degraded->channel, cs, po);
         VerifyOptions pvo = vo;
@@ -207,13 +209,11 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
     }
 
     // Recover: back on the base channel the workload must route to
-    // exactly the checkpointed state (the memo entries for the base
-    // fingerprint survived the storm, so this is normally a cache hit).
+    // exactly the baseline (the memo entries for the base fingerprint
+    // survived the storm, so this is normally a cache hit).
     engine.rebind(ch);
     const alg::RouteResult recovered = engine.route(cs, ro);
-    const std::optional<RoutingCheckpoint> base_ckpt = ckpts.find(base_fp);
-    if (!recovered.success || !base_ckpt ||
-        !(recovered.routing == base_ckpt->routing)) {
+    if (!recovered.success || !(recovered.routing == base.routing)) {
       ++report.restore_mismatches;
     }
     // Fingerprint-delta-aware invalidation: evict exactly the degraded
@@ -288,8 +288,7 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
       // the randomized edit-script suite enforces, here under churn.
       const auto [ecs, er] = session->snapshot();
       const alg::CanonicalResult ref =
-          alg::from_scratch(ch, ecs, /*policy_best_fit=*/true,
-                            opts.max_segments);
+          alg::from_scratch(ch, ecs, /*policy_best_fit=*/true, kMaxSegments);
       if (!ref.result.success || !(ref.result.routing == er)) {
         ++report.edit_mismatches;
       }
@@ -314,7 +313,6 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
 
   report.digest = digest;
   report.cache = engine.cache_stats();
-  report.checkpoints = ckpts.stats();
   report.ok = report.verify_failures == 0 &&
               report.restore_mismatches == 0 && report.edit_mismatches == 0;
   report.note = "cycles=" + std::to_string(opts.cycles) +

@@ -2,25 +2,26 @@
 // engine through degrade -> reroute -> recover cycles.
 //
 // A survivability claim is only as good as the torture test behind it.
-// run_chaos() drives one BatchRouter session through `cycles` storms:
+// run_chaos() routes the workload once on the base channel, verifies
+// that baseline, and keeps it as the one rollback target. It then drives
+// one BatchRouter session through `cycles` storms:
 //
-//   degrade — a FaultPlan storm (severity ramping over
-//     `escalation_period` cycles, then resetting) is sampled from a
-//     per-cycle seed, canonicalised, and applied to the base channel.
-//     A total outage rolls the session back to the base checkpoint and
-//     skips the cycle.
+//   degrade — a FaultPlan storm (severity ramping over 16 cycles, then
+//     resetting) is sampled from a per-cycle seed, canonicalised, and
+//     applied to the base channel. A total outage rolls the session back
+//     to the baseline and skips the cycle.
 //   reroute — the engine is rebound to the degraded substrate and routes
-//     the workload batch. A complete routing is re-verified, mapped back
-//     to original-track coordinates, and checkpointed under the degraded
-//     fingerprint; a failure triggers the partial fallback (maximal
+//     the workload batch with the "dp" router. A complete routing is
+//     re-verified and mapped back to original-track coordinates as the
+//     live routing; a failure triggers the partial fallback (maximal
 //     verified subset, unrouted connections enumerated) and then a
-//     rollback of the live routing to the base checkpoint.
+//     rollback of the live routing to the baseline.
 //   recover — the engine is rebound to the base channel and re-routes
 //     the workload (a memo-cache hit: base entries survive degradation
 //     because cache keys carry the substrate fingerprint). The result
-//     must equal the base checkpoint bit for bit (`restore_mismatches`
-//     counts violations), and the degraded substrate's cache entries —
-//     and only those — are invalidated (fingerprint-delta-aware).
+//     must equal the baseline bit for bit (`restore_mismatches` counts
+//     violations), and the degraded substrate's cache entries — and only
+//     those — are invalidated (fingerprint-delta-aware).
 //
 // Determinism contract: the harness never reads a clock or an unseeded
 // RNG; storm seeds come from one master mt19937_64, the routers run
@@ -41,10 +42,14 @@
 #include "core/connection.h"
 #include "core/routing.h"
 #include "engine/batch.h"
-#include "harness/checkpoint.h"
 
 namespace segroute::harness {
 
+/// The settable part of a soak. The rest is fixed (constants in
+/// chaos.cpp): the "dp" router with unlimited segments, peak per-switch /
+/// per-segment failure probabilities of 0.35 / 0.15 reached at the end of
+/// every 16-cycle ramp, the partial fallback on every failed reroute, and
+/// a 256-entry engine memo cache.
 struct ChaosOptions {
   /// Master seed: everything (storm severities, fault sets) derives from
   /// it. Equal seeds => equal reports, for any thread count.
@@ -55,27 +60,6 @@ struct ChaosOptions {
 
   /// Worker threads for the engine's route_many (<= 0: hardware).
   int threads = 1;
-
-  /// K-segment limit for every routing call (0 = unlimited).
-  int max_segments = 0;
-
-  /// Registry router carrying the workload.
-  std::string router = "dp";
-
-  /// Peak per-switch / per-segment failure probabilities. A cycle at
-  /// ramp position p in [1/escalation_period .. 1] uses p * max_*.
-  double max_switch_fail = 0.35;
-  double max_segment_fail = 0.15;
-
-  /// Storm severity ramps linearly over this many cycles, then resets —
-  /// every period ends in a heavy storm likely to force rollbacks.
-  int escalation_period = 16;
-
-  /// Attempt the partial fallback when the degraded reroute fails.
-  bool allow_partial = true;
-
-  /// Engine memo-cache capacity.
-  std::size_t cache_capacity = 256;
 
   /// Interleave this many seeded ChannelEdits (add/remove/move through
   /// OnlineRouter::apply) into every cycle, run against the base channel
@@ -98,7 +82,7 @@ struct ChaosCycle {
   bool outage = false;       // storm removed every track
   bool rerouted = false;     // complete verified routing on the substrate
   bool partial = false;      // partial fallback produced a verified subset
-  bool rolled_back = false;  // live routing rolled back to base checkpoint
+  bool rolled_back = false;  // live routing rolled back to the baseline
   int routed = 0;            // connections routed in the degrade phase
   int edits = 0;             // edits applied this cycle (edits_per_cycle > 0)
   // ... of which the canonical greedy placed every connection
@@ -115,7 +99,7 @@ struct ChaosReport {
   int partials = 0;
   int rollbacks = 0;
   int outages = 0;
-  int restore_mismatches = 0;  // recover phase disagreed with checkpoint
+  int restore_mismatches = 0;  // recover phase disagreed with baseline
   int verify_failures = 0;     // any phase produced an unverifiable routing
 
   // Edit-stream summary (all zero when edits_per_cycle == 0).
@@ -128,7 +112,6 @@ struct ChaosReport {
   int edit_mismatches = 0;   // session snapshot != from_scratch reference
   std::uint64_t digest = 0;    // FNV-1a over cycle outcomes + live routing
   engine::CacheStats cache;    // counters only; excluded from the digest
-  CheckpointStats checkpoints;
   std::vector<ChaosCycle> history;  // one record per cycle
   std::string note;
 };

@@ -54,8 +54,13 @@ std::string render(const ConnectionSet& cs, Column width) {
       out << cells[static_cast<std::size_t>(col - 1)];
       if (col < width) out << ' ';
     }
-    out << "  " << (c.name.empty() ? ("#" + std::to_string(i)) : c.name)
-        << "\n";
+    out << "  ";
+    if (c.name.empty()) {
+      out << '#' << i;
+    } else {
+      out << c.name;
+    }
+    out << "\n";
   }
   return out.str();
 }

@@ -1,6 +1,7 @@
 #include "io/svg.h"
 
 #include <sstream>
+#include <string>
 
 namespace segroute::io {
 
@@ -86,6 +87,14 @@ void draw_connection_row(Canvas& cv, const Connection& c, int y, int color,
   }
 }
 
+/// "t1", "t2", ...: appended, since g++ 12 at -O3 raises a false
+/// -Wrestrict on `"literal" + std::string`.
+std::string track_label(TrackId t) {
+  std::string s = "t";
+  s += std::to_string(t + 1);
+  return s;
+}
+
 Canvas make_canvas(Column width, int rows, const SvgOptions& o) {
   Canvas cv;
   cv.width = col_x(width, o) + 60;
@@ -99,7 +108,7 @@ std::string to_svg(const SegmentedChannel& ch, const SvgOptions& opts) {
   Canvas cv = make_canvas(ch.width(), ch.num_tracks(), opts);
   for (TrackId t = 0; t < ch.num_tracks(); ++t) {
     draw_track(cv, ch.track(t), 20 + t * opts.row_px, opts,
-               "t" + std::to_string(t + 1));
+               track_label(t));
   }
   return cv.finish();
 }
@@ -116,7 +125,7 @@ std::string to_svg(const SegmentedChannel& ch, const ConnectionSet& cs,
   const int track_y0 = y;
   for (TrackId t = 0; t < ch.num_tracks(); ++t) {
     draw_track(cv, ch.track(t), track_y0 + t * opts.row_px, opts,
-               "t" + std::to_string(t + 1));
+               track_label(t));
   }
   if (r != nullptr) {
     for (ConnId i = 0; i < cs.size(); ++i) {
@@ -141,7 +150,7 @@ std::string to_svg(const SegmentedChannel& ch, const ConnectionSet& cs,
   const int track_y0 = y;
   for (TrackId t = 0; t < ch.num_tracks(); ++t) {
     draw_track(cv, ch.track(t), track_y0 + t * opts.row_px, opts,
-               "t" + std::to_string(t + 1));
+               track_label(t));
   }
   for (ConnId i = 0; i < cs.size(); ++i) {
     for (const RoutePart& p : r.parts(i)) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace segroute::npc {
 
@@ -24,6 +25,22 @@ void require_z_fits(const NmtsInstance& inst) {
     throw std::invalid_argument(
         "reduction: z_n too large for the construction (z_n + 5 > N)");
   }
+}
+
+/// Connection names "a1", "b2,3": the prefix, then 1-based indices.
+/// Built by appending: g++ 12 at -O3 raises a false -Wrestrict on
+/// `"literal" + std::string`.
+std::string label(const char* prefix, int i) {
+  std::string s(prefix);
+  s += std::to_string(i);
+  return s;
+}
+
+std::string label(const char* prefix, int i, int j) {
+  std::string s = label(prefix, i);
+  s += ',';
+  s += std::to_string(j);
+  return s;
 }
 
 /// left(b_kj) for 0-based k (y index) and j (x index).
@@ -68,25 +85,25 @@ UnlimitedReduction build_unlimited(const NmtsInstance& inst) {
 
   for (int j = 0; j < n; ++j) {
     q.a.push_back(cs.add(4, static_cast<Column>(inst.x()[static_cast<std::size_t>(j)] + 3),
-                         "a" + std::to_string(j + 1)));
+                         label("a", j + 1)));
   }
   q.b.resize(static_cast<std::size_t>(n));
   for (int k = 0; k < n; ++k) {
     for (int j = 0; j < n; ++j) {
       q.b[static_cast<std::size_t>(k)].push_back(
           cs.add(b_left(inst, k, j), b_right(inst, k, j),
-                 "b" + std::to_string(k + 1) + "," + std::to_string(j + 1)));
+                 label("b", k + 1, j + 1)));
     }
   }
   for (int i = 0; i < n; ++i) {
-    q.d.push_back(cs.add(1, 3, "d" + std::to_string(i + 1)));
+    q.d.push_back(cs.add(1, 3, label("d", i + 1)));
   }
   for (int i = 0; i < n * n - n; ++i) {
-    q.e.push_back(cs.add(1, 5, "e" + std::to_string(i + 1)));
+    q.e.push_back(cs.add(1, 5, label("e", i + 1)));
   }
   const Column f_left = static_cast<Column>(inst.x().back() + inst.y().back() + 5);
   for (int i = 0; i < n * n; ++i) {
-    q.f.push_back(cs.add(f_left, f_left + 2, "f" + std::to_string(i + 1)));
+    q.f.push_back(cs.add(f_left, f_left + 2, label("f", i + 1)));
   }
 
   std::vector<Track> tracks;
@@ -117,29 +134,29 @@ TwoSegmentReduction build_two_segment(const NmtsInstance& inst) {
 
   for (int j = 0; j < n; ++j) {
     q.a.push_back(cs.add(4, static_cast<Column>(inst.x()[static_cast<std::size_t>(j)] + 3),
-                         "a" + std::to_string(j + 1)));
+                         label("a", j + 1)));
   }
   q.b.resize(static_cast<std::size_t>(n));
   for (int k = 0; k < n; ++k) {
     for (int j = 0; j < n; ++j) {
       q.b[static_cast<std::size_t>(k)].push_back(
           cs.add(b_left(inst, k, j), b_right(inst, k, j),
-                 "b" + std::to_string(k + 1) + "," + std::to_string(j + 1)));
+                 label("b", k + 1, j + 1)));
     }
   }
   for (int i = 0; i < n * n - n; ++i) {
-    q.e.push_back(cs.add(1, 5, "e" + std::to_string(i + 1)));
+    q.e.push_back(cs.add(1, 5, label("e", i + 1)));
   }
   const Column f_left = static_cast<Column>(inst.x().back() + inst.y().back() + 5);
   for (int i = 0; i < 2 * n * n - n; ++i) {
-    q.f.push_back(cs.add(f_left, f_left + 2, "f" + std::to_string(i + 1)));
+    q.f.push_back(cs.add(f_left, f_left + 2, label("f", i + 1)));
   }
   q.g.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j + 1 < n; ++j) {
       q.g[static_cast<std::size_t>(i)].push_back(
           cs.add(4, static_cast<Column>(inst.z()[static_cast<std::size_t>(i)] + 4),
-                 "g" + std::to_string(i + 1) + "," + std::to_string(j + 1)));
+                 label("g", i + 1, j + 1)));
     }
   }
 

@@ -8,6 +8,7 @@
 #include <map>
 #include <random>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "alg/exhaustive.h"
@@ -15,6 +16,7 @@
 #include "core/weights.h"
 #include "gen/fixtures.h"
 #include "gen/segmentation.h"
+#include "gen/suite.h"
 #include "gen/workload.h"
 
 namespace segroute::alg {
@@ -30,6 +32,23 @@ std::uint64_t ipow(std::uint64_t b, int e) {
   std::uint64_t r = 1;
   while (e-- > 0) r *= b;
   return r;
+}
+
+std::uint64_t choose(int n, int k) {
+  std::uint64_t r = 1;
+  for (int i = 1; i <= k; ++i) {
+    r = r * static_cast<std::uint64_t>(n - k + i) / static_cast<std::uint64_t>(i);
+  }
+  return r;
+}
+
+// Every level of `r`'s assignment graph holds at most `bound` frontiers.
+void expect_levels_within(const RouteResult& r, std::uint64_t bound,
+                          const std::string& where) {
+  for (std::size_t lvl = 0; lvl < r.stats.nodes_per_level.size(); ++lvl) {
+    EXPECT_LE(r.stats.nodes_per_level[lvl], bound)
+        << where << " level " << lvl;
+  }
 }
 
 SegmentedChannel random_channel(TrackId T, Column width, int max_cuts,
@@ -159,6 +178,14 @@ TEST(Dp, Theorem5FrontierBoundHolds) {
     EXPECT_LE(r.stats.max_level_nodes, 2 * factorial(T))
         << "T=" << T << " iter=" << iter;
   }
+  for (const auto& inst : gen::standard_suite()) {
+    const int T = inst.channel.num_tracks();
+    if (T > 20) continue;  // 21! overflows uint64_t
+    DpOptions o;
+    o.canonicalize_types = false;
+    expect_levels_within(dp_route(inst.channel, inst.connections, o),
+                         2 * factorial(T), inst.name);
+  }
 }
 
 TEST(Dp, Theorem6FrontierBoundHolds) {
@@ -175,6 +202,47 @@ TEST(Dp, Theorem6FrontierBoundHolds) {
     const auto r = dp_route(ch, cs, o);
     EXPECT_LE(r.stats.max_level_nodes, ipow(static_cast<std::uint64_t>(K + 1), T))
         << "T=" << T << " K=" << K << " iter=" << iter;
+  }
+  for (const auto& inst : gen::standard_suite()) {
+    const int T = inst.channel.num_tracks();
+    if (T > 40) continue;  // 3^41 overflows uint64_t
+    for (int K : {1, 2}) {
+      DpOptions o;
+      o.canonicalize_types = false;
+      o.max_segments = K;
+      expect_levels_within(dp_route(inst.channel, inst.connections, o),
+                           ipow(static_cast<std::uint64_t>(K + 1), T),
+                           inst.name + " K=" + std::to_string(K));
+    }
+  }
+}
+
+TEST(Dp, Theorem7CanonicalFrontierBoundHolds) {
+  // Two track types (alternating cut grids every 4 and every 7, as in
+  // bench_frontier_counts). With type canonicalization a K-segment
+  // frontier is a multiset of per-track states in 0..K for each type, so
+  // a level holds at most C(T1+K, K) * C(T2+K, K) distinct frontiers.
+  std::mt19937_64 rng(70);
+  for (int T = 4; T <= 8; ++T) {
+    std::vector<Track> tracks;
+    for (int j = 0; j < T; ++j) {
+      tracks.push_back(j % 2 == 0 ? Track(28, {4, 8, 12, 16, 20, 24})
+                                  : Track(28, {7, 14, 21}));
+    }
+    const SegmentedChannel ch(std::move(tracks));
+    const int t1 = (T + 1) / 2, t2 = T / 2;
+    for (int K = 1; K <= 3; ++K) {
+      const std::uint64_t bound = choose(t1 + K, K) * choose(t2 + K, K);
+      for (int trial = 0; trial < 10; ++trial) {
+        const auto cs = gen::geometric_workload(14, 28, 5.0, rng);
+        DpOptions o;  // default: canonicalize_types
+        o.max_segments = K;
+        expect_levels_within(dp_route(ch, cs, o), bound,
+                             "T=" + std::to_string(T) + " K=" +
+                                 std::to_string(K) + " trial=" +
+                                 std::to_string(trial));
+      }
+    }
   }
 }
 

@@ -231,9 +231,6 @@ TEST(BatchRouter, LruEvictionRespectsCapacityBound) {
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 8u);
   EXPECT_EQ(s.size, 4u);
-
-  router.clear_cache();
-  EXPECT_EQ(router.cache_stats().size, 0u);
 }
 
 TEST(BatchRouter, BudgetLimitedCallsBypassTheCache) {
