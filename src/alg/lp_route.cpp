@@ -28,13 +28,7 @@ std::optional<lp::SolveOptions> next_solve_options(
     const LpRouteOptions& opts, harness::BudgetMeter& meter) {
   if (!meter.ok()) return std::nullopt;
   lp::SolveOptions so;
-  if (opts.budget.deadline) {
-    so.deadline = std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double, std::milli>(
-                          std::max(0.0, opts.budget.deadline->count() -
-                                            meter.elapsed_ms())));
-  }
+  so.deadline = opts.budget.deadline;
   if (opts.budget.max_ticks > 0) {
     const std::uint64_t remaining =
         opts.budget.max_ticks > meter.ticks()

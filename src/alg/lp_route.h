@@ -47,9 +47,9 @@ struct LpRouteOptions {
   /// Seed for the deterministic jitter.
   std::uint64_t jitter_seed = 0x5e60e7eULL;
 
-  /// Resource bounds: ticks count simplex pivots; the deadline is pushed
-  /// down into every simplex solve (checked every few pivots), so a
-  /// single huge LP cannot blow past it. Exhaustion yields
+  /// Resource bounds: ticks count simplex pivots; the deadline's end time
+  /// is handed unchanged to every simplex solve (checked every few
+  /// pivots), so a single huge LP cannot blow past it. Exhaustion yields
   /// FailureKind::kBudgetExhausted.
   harness::Budget budget;
 };

@@ -235,21 +235,17 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
   bo.cache_shards = opts.cache_shards;
   engine::BatchRouter eng(sub, bo);
 
-  // Deterministic per-channel budget slices: the fabric allowance divided
+  // Deterministic per-channel tick slices: the fabric's tick cap divided
   // by the worst-case number of channel routings. A channel that splits
-  // into parts divides its slice further, so the global bound holds.
-  harness::Budget channel_slice;
+  // into parts divides its slice further, so the global bound holds. The
+  // deadline and cancel flag pass through unsliced: every part stops at
+  // the fabric's own end time.
+  harness::Budget channel_slice = opts.budget;
   const std::uint64_t denom =
       static_cast<std::uint64_t>(max_iter) * static_cast<std::uint64_t>(C);
   if (opts.budget.max_ticks != 0) {
     channel_slice.max_ticks = std::max<std::uint64_t>(1, opts.budget.max_ticks / denom);
   }
-  if (opts.budget.deadline) {
-    channel_slice.deadline = std::max(std::chrono::milliseconds(1),
-                                      *opts.budget.deadline /
-                                          static_cast<std::int64_t>(denom));
-  }
-  channel_slice.cancel = opts.budget.cancel;
 
   bool budget_hit = false;
   std::uint64_t failed = 0;  // channels the latest round failed to route
@@ -340,12 +336,6 @@ FabricResult FabricRouter::route(int tracks, const FabricOptions& opts) const {
       if (channel_slice.max_ticks != 0 && parts.size() > 1) {
         eo.budget.max_ticks = std::max<std::uint64_t>(
             1, channel_slice.max_ticks / parts.size());
-      }
-      if (channel_slice.deadline && parts.size() > 1) {
-        eo.budget.deadline =
-            std::max(std::chrono::milliseconds(1),
-                     *channel_slice.deadline /
-                         static_cast<std::int64_t>(parts.size()));
       }
       if (priced) {
         auto price = std::make_shared<std::vector<double>>(

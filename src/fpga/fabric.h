@@ -55,8 +55,9 @@
 // BatchRouter::route_many, whose results are thread-count and
 // cache-mode invariant; budget *tick* slices are a function of the
 // iteration cap and channel count only. A wall-clock deadline in
-// FabricOptions::budget keeps the bound but (like every deadline)
-// trades the bit-identity guarantee for timeliness.
+// FabricOptions::budget is not sliced: every part inherits the fabric's
+// end time, so the whole search stops there, and (like every deadline)
+// it trades the bit-identity guarantee for timeliness.
 #pragma once
 
 #include <cstdint>
@@ -96,8 +97,9 @@ struct FabricOptions {
 
   /// Whole-fabric resource bounds. max_ticks is divided into
   /// deterministic per-instance slices: max_ticks / (max_iterations *
-  /// num_channels), at least 1. A deadline is sliced the same way but
-  /// is inherently wall-clock-jittery (see the determinism contract).
+  /// num_channels), at least 1. The deadline is one end time shared by
+  /// every part (and, in min_fabric_tracks, by every probe); it is
+  /// inherently wall-clock-jittery (see the determinism contract).
   /// A part whose column density exceeds the track count spends none of
   /// its slice: it reports kInfeasible even under a 1-tick budget or a
   /// cancelled one, because a proof wins over a budget stop.

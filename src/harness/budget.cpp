@@ -16,20 +16,13 @@ const char* to_string(BudgetStop s) {
   return "?";
 }
 
-BudgetMeter::BudgetMeter(const Budget& budget, std::uint32_t check_interval)
-    : budget_(budget),
-      start_(std::chrono::steady_clock::now()),
-      check_interval_(check_interval == 0 ? 1 : check_interval),
-      until_check_(1) {  // consult the clock on the very first tick
-  if (budget_.deadline) deadline_at_ = start_ + *budget_.deadline;
-}
-
 bool BudgetMeter::check_clock() {
   if (budget_.cancel && budget_.cancel->load(std::memory_order_relaxed)) {
     stop_ = BudgetStop::kCancelled;
     return false;
   }
-  if (deadline_at_ && std::chrono::steady_clock::now() >= *deadline_at_) {
+  if (budget_.deadline &&
+      std::chrono::steady_clock::now() >= *budget_.deadline) {
     stop_ = BudgetStop::kDeadline;
     return false;
   }
@@ -41,20 +34,12 @@ bool BudgetMeter::ok() {
   return check_clock();
 }
 
-double BudgetMeter::elapsed_ms() const {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start_)
-      .count();
-}
-
 std::string BudgetMeter::reason() const {
   switch (stop_) {
     case BudgetStop::kNone:
       return {};
     case BudgetStop::kDeadline:
-      return "deadline of " +
-             std::to_string(budget_.deadline ? budget_.deadline->count() : 0) +
-             " ms exceeded";
+      return "deadline exceeded";
     case BudgetStop::kTickLimit:
       return "work limit of " + std::to_string(budget_.max_ticks) +
              " units exceeded";

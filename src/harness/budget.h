@@ -9,8 +9,8 @@
 //
 // Routers accept a Budget in their options struct and drive a
 // BudgetMeter inside their hot loop. tick() is designed to be cheap
-// enough for per-node use: the tick cap and the cancellation flag are
-// checked every call, the clock only every `check_interval` calls.
+// enough for per-node use: the tick cap is checked every call, the clock
+// and the cancellation flag every kCheckInterval calls.
 // Exhaustion is sticky; the router reports FailureKind::kBudgetExhausted
 // (see alg/result.h) with the meter's reason.
 //
@@ -33,10 +33,13 @@ enum class BudgetStop { kNone, kDeadline, kTickLimit, kCancelled };
 const char* to_string(BudgetStop s);
 
 /// Declarative resource bounds for one routing call. Default: unlimited.
+///
+/// The deadline is an absolute end time, so every layer hands the same
+/// point down unchanged and nothing rounds it. A reused Budget shares
+/// that end time: a fresh allowance needs a fresh with_deadline().
 struct Budget {
-  /// Wall-clock allowance, measured from BudgetMeter construction
-  /// (i.e. from router entry). nullopt = no deadline.
-  std::optional<std::chrono::milliseconds> deadline;
+  /// Wall-clock end time. nullopt = no deadline.
+  std::optional<std::chrono::steady_clock::time_point> deadline;
 
   /// Cap on router-specific work units (DP nodes, branches, moves,
   /// pivots). 0 = unlimited.
@@ -51,10 +54,10 @@ struct Budget {
     return !deadline && max_ticks == 0 && cancel == nullptr;
   }
 
-  /// Convenience constructors.
-  static Budget with_deadline(std::chrono::milliseconds d) {
+  /// Convenience constructors. with_deadline ends `d` from now.
+  static Budget with_deadline(std::chrono::nanoseconds d) {
     Budget b;
-    b.deadline = d;
+    b.deadline = std::chrono::steady_clock::now() + d;
     return b;
   }
   static Budget with_ticks(std::uint64_t n) {
@@ -74,11 +77,13 @@ struct Budget {
 /// meter stays exhausted from then on.
 class BudgetMeter {
  public:
-  /// `check_interval`: the clock (and cancel flag, between interval
-  /// boundaries) is consulted every this-many ticks. 64 keeps deadline
-  /// overshoot in the tens of microseconds for typical node costs while
-  /// making the common-path tick a couple of integer ops.
-  explicit BudgetMeter(const Budget& budget, std::uint32_t check_interval = 64);
+  /// The clock and the cancel flag are consulted every this-many ticks
+  /// (and on the first). 64 keeps deadline overshoot in the tens of
+  /// microseconds for typical node costs while making the common-path
+  /// tick a couple of integer ops.
+  static constexpr std::uint32_t kCheckInterval = 64;
+
+  explicit BudgetMeter(const Budget& budget) : budget_(budget) {}
 
   /// Counts `n` units of work; returns true while the budget holds.
   /// Sticky: once false, always false. Inline: the common path (no bound
@@ -95,7 +100,7 @@ class BudgetMeter {
       until_check_ -= static_cast<std::uint32_t>(n);
       return true;
     }
-    until_check_ = check_interval_;
+    until_check_ = kCheckInterval;
     return check_clock();
   }
 
@@ -106,22 +111,16 @@ class BudgetMeter {
   [[nodiscard]] BudgetStop stop() const { return stop_; }
   [[nodiscard]] std::uint64_t ticks() const { return ticks_; }
 
-  /// Milliseconds since construction.
-  [[nodiscard]] double elapsed_ms() const;
-
-  /// Human-readable reason, e.g. "deadline of 50 ms exceeded"; empty
-  /// while the budget holds.
+  /// Human-readable reason, e.g. "work limit of 100 units exceeded";
+  /// empty while the budget holds.
   [[nodiscard]] std::string reason() const;
 
  private:
   bool check_clock();
 
   Budget budget_;
-  std::chrono::steady_clock::time_point start_;
-  std::optional<std::chrono::steady_clock::time_point> deadline_at_;
   std::uint64_t ticks_ = 0;
-  std::uint32_t check_interval_;
-  std::uint32_t until_check_;
+  std::uint32_t until_check_ = 1;  // consult the clock on the very first tick
   BudgetStop stop_ = BudgetStop::kNone;
 };
 

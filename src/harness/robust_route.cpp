@@ -90,8 +90,8 @@ RouteReport robust_route(const SegmentedChannel& ch, const ConnectionSet& cs,
   SEGROUTE_SPAN(route_span, "robust.route");
 
   const RouteVerifier verifier(ch, cs);
-  std::optional<Clock::time_point> overall_deadline;
-  if (opts.deadline) overall_deadline = t0 + *opts.deadline;
+  std::optional<Clock::time_point> end;
+  if (opts.deadline) end = t0 + *opts.deadline;
 
   // Best verified candidate so far (optimizing mode accumulates; in
   // feasibility mode the first one ends the cascade).
@@ -110,28 +110,26 @@ RouteReport robust_route(const SegmentedChannel& ch, const ConnectionSet& cs,
     StageReport sr;
     sr.router = entry.name;
 
-    // This stage's slice: remaining deadline split over remaining stages
+    // This stage's slice: remaining time split over remaining stages
     // (later stages inherit unspent time).
     Budget b;
-    if (overall_deadline) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              *overall_deadline - Clock::now());
+    if (end) {
+      const Clock::time_point now = Clock::now();
+      const Clock::duration remaining = *end - now;
       // Stage-boundary sample of the time budget still unspent.
-      SEGROUTE_GAUGE_SET("robust.budget_remaining_ms",
-                         std::max<std::chrono::milliseconds::rep>(
-                             0, remaining.count()));
-      if (remaining.count() <= 0) {
+      SEGROUTE_GAUGE_SET(
+          "robust.budget_remaining_ms",
+          std::max(0.0, std::chrono::duration<double, std::milli>(remaining)
+                            .count()));
+      if (remaining <= Clock::duration::zero()) {
         sr.failure = FailureKind::kBudgetExhausted;
         sr.note = "overall deadline exhausted before stage started";
         SEGROUTE_SPAN_TAG(stage_span, "outcome", to_string(sr.failure));
         report.stages.push_back(std::move(sr));
         continue;
       }
-      b.deadline = std::chrono::milliseconds(
-          std::max<std::chrono::milliseconds::rep>(
-              1, remaining.count() /
-                     static_cast<long long>(kCascade.size() - k)));
+      b.deadline = now + remaining / static_cast<Clock::rep>(
+                                         kCascade.size() - k);
     }
 
     sr.attempted = true;

@@ -31,9 +31,10 @@
 // infeasibility, which successes end an optimizing cascade, and which
 // stages receive the weight function.
 //
-// Budgets: RobustOptions::deadline bounds the whole call. Each stage gets
-// remaining / stages-left of it (a stage finishing early donates its
-// slack to later stages). Overall failure aggregates the per-stage
+// Budgets: RobustOptions::deadline bounds the whole call. It becomes one
+// end time at entry; each stage then ends at now + (end - now) /
+// stages-left, to the clock's resolution (a stage finishing early donates
+// its slack to later stages). Overall failure aggregates the per-stage
 // failures: proven infeasibility dominates, else all-invalid-input, else
 // budget exhaustion, else verification failure, else infeasible.
 #pragma once
@@ -58,8 +59,10 @@ struct RobustOptions {
   /// Optimizing mode: minimize this total weight (Problem 3).
   std::optional<WeightFn> weight;
 
-  /// Overall wall-clock deadline for the whole cascade.
-  std::optional<std::chrono::milliseconds> deadline;
+  /// Overall wall-clock deadline for the whole cascade, measured from
+  /// entry. It is sliced in clock ticks, not whole milliseconds: a 1 ms
+  /// deadline still starts the first stage.
+  std::optional<std::chrono::nanoseconds> deadline;
 };
 
 /// What happened in one cascade stage.

@@ -32,7 +32,9 @@
 // request may still be *served from* the shared memo cache (the service
 // always sets EngineRouteOptions::allow_cached_when_budgeted) — a cached
 // entry is a pure result computed under no budget, so serving it is
-// strictly better than re-deriving a kBudgetExhausted.
+// strictly better than re-deriving a kBudgetExhausted. A request's
+// wall-clock deadline is an end time fixed when the caller builds its
+// Budget, so it includes the request's queue wait.
 //
 // Execution modes.
 //   - Driver mode (deterministic): the caller invokes tick() directly.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <optional>
 #include <random>
 #include <set>
@@ -181,6 +182,34 @@ TEST(Fabric, BudgetExhaustionReportsPerChannelFailure) {
   // Tick budgets stay deterministic: same starved run, same digest.
   const FabricResult res2 = fr.route(/*tracks=*/6, o);
   EXPECT_EQ(res.digest, res2.digest);
+}
+
+// A fabric deadline is one end time for the whole search, not a per-part
+// slice with a floor: on bench_fabric's `large` scenario at 7 tracks, a
+// 1 ms deadline stops well before the unlimited run does. A ratio keeps
+// the test meaningful under the sanitizers' slowdowns.
+TEST(Fabric, DeadlineBoundsTheWholeSearch) {
+  using Clock = std::chrono::steady_clock;
+  const Scenario sc = make_scenario(303, /*rows=*/5, /*slots=*/16,
+                                    /*nets=*/56);
+  const FabricRouter fr(sc.dev, sc.nl, sc.p, staggered_factory(6));
+  const auto ms_of = [&fr](const FabricOptions& o, FabricResult& res) {
+    const auto t0 = Clock::now();
+    res = fr.route(/*tracks=*/7, o);
+    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+        .count();
+  };
+  FabricResult unlimited, bounded;
+  const double unlimited_ms = ms_of(FabricOptions{}, unlimited);
+  FabricOptions o;
+  o.budget = harness::Budget::with_deadline(std::chrono::milliseconds(1));
+  const double bounded_ms = ms_of(o, bounded);
+  EXPECT_FALSE(bounded.success);
+  EXPECT_NE(bounded.note.find("budget"), std::string::npos) << bounded.note;
+  EXPECT_LT(bounded_ms, 0.5 * unlimited_ms)
+      << "unlimited: " << unlimited_ms << " ms, " << unlimited.iterations
+      << " iterations; 1 ms deadline: " << bounded_ms << " ms, "
+      << bounded.iterations << " iterations";
 }
 
 TEST(Fabric, OverDensePartIsInfeasibleUnderAOneTickBudget) {

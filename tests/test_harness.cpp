@@ -65,11 +65,13 @@ TEST(Budget, ExpiredDeadlineStopsOnFirstTick) {
 
 TEST(Budget, CancellationIsObservedWithinOneInterval) {
   std::atomic<bool> cancel{false};
-  BudgetMeter m(Budget::with_cancel(cancel), /*check_interval=*/8);
+  BudgetMeter m(Budget::with_cancel(cancel));
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(m.tick());
   cancel.store(true);
   bool stopped = false;
-  for (int i = 0; i < 8 && !stopped; ++i) stopped = !m.tick();
+  for (std::uint32_t i = 0; i < BudgetMeter::kCheckInterval && !stopped; ++i) {
+    stopped = !m.tick();
+  }
   EXPECT_TRUE(stopped);
   EXPECT_EQ(m.stop(), BudgetStop::kCancelled);
   cancel.store(false);
@@ -413,6 +415,51 @@ TEST(RobustRoute, ZeroDeadlineReportsTheFixedCascadeInOrder) {
     EXPECT_EQ(rep.stages[k].failure, FailureKind::kBudgetExhausted)
         << cascade[k];
   }
+}
+
+// A deadline under one millisecond is sliced in clock ticks, not whole
+// milliseconds: the exact stage always starts, and every suite instance
+// the DP solves in microseconds is won by the DP. A run is retried (best
+// of 3) so that one preemption of this thread cannot fail it.
+TEST(RobustRoute, OneMillisecondDeadlineStartsTheExactStage) {
+  using Clock = std::chrono::steady_clock;
+  const alg::RouterEntry* dp = alg::find_router("dp");
+  ASSERT_NE(dp, nullptr);
+  RobustOptions o;
+  o.deadline = std::chrono::milliseconds(1);
+  int fast = 0;
+  for (const auto& inst : gen::standard_suite()) {
+    RouteRequest rq;
+    rq.channel = &inst.channel;
+    rq.connections = &inst.connections;
+    auto dp_time = Clock::duration::max();
+    bool dp_solves = false;
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto t0 = Clock::now();
+      const auto r = alg::route(*dp, rq);
+      dp_time = std::min(dp_time, Clock::now() - t0);
+      dp_solves = r.success;
+    }
+    const bool dp_fast =
+        dp_solves && dp_time < std::chrono::microseconds(20);
+    fast += dp_fast ? 1 : 0;
+    RouteReport rep;
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      rep = robust_route(inst.channel, inst.connections, o);
+      if (!rep.stages.empty() && rep.stages[0].attempted &&
+          (!dp_fast || rep.winner == "dp")) {
+        break;
+      }
+    }
+    ASSERT_FALSE(rep.stages.empty()) << inst.name;
+    EXPECT_EQ(rep.stages[0].router, "dp") << inst.name;
+    EXPECT_TRUE(rep.stages[0].attempted)
+        << inst.name << ": " << rep.stages[0].note;
+    if (dp_fast) {
+      EXPECT_EQ(rep.winner, "dp") << inst.name << ": " << rep.note;
+    }
+  }
+  EXPECT_GT(fast, 0);
 }
 
 // Every "proven infeasible" answer is re-proved by an independent oracle:

@@ -196,8 +196,9 @@ TEST(Reduction, Theorem2EquivalenceOnRandomInstances) {
 // Differential check on the paper's own hard family: the exact routers
 // must agree on feasibility and on the optimal occupied length of every
 // reduction instance Q and Q2, unlimited and at K = 1, 2. At K = 1 the
-// two matching-based routers join in. Each call runs under a deadline;
-// running out of it fails the test instead of passing it vacuously.
+// two matching-based routers join in. Each call runs under its own 20 s
+// deadline; running out of it fails the test instead of passing it
+// vacuously.
 TEST(Reduction, ExactRoutersAgreeOnTheHardFamily) {
   const auto w = weights::occupied_length();
   std::mt19937_64 rng(103);
@@ -220,9 +221,10 @@ TEST(Reduction, ExactRoutersAgreeOnTheHardFamily) {
         rq.connections = family[which].second;
         rq.options.max_segments = k;
         rq.options.weight = w;
-        rq.budget.deadline = std::chrono::seconds(20);
         const auto run = [&](const char* name, const RouteRequest& req) {
-          const auto r = alg::route(name, req);
+          RouteRequest call = req;
+          call.budget = harness::Budget::with_deadline(std::chrono::seconds(20));
+          const auto r = alg::route(name, call);
           EXPECT_TRUE(r.success || r.failure == alg::FailureKind::kInfeasible)
               << where << " / " << name << ": " << r.note;
           EXPECT_TRUE(!r.success || r.note.empty())
