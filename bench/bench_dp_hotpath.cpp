@@ -3,10 +3,17 @@
 //   A. dp_route on every standard-suite instance (plus two larger
 //      generated ones) in all three problem modes: unlimited (Problem 1),
 //      K = 2 (Problem 2), weighted occupied-length (Problem 3); plus one
-//      unlimited large-table row whose dedup table outgrows L2, so the
-//      batched-probe regime has a number. Each row also prints its
-//      expansions (dedup probes: nodes - 1 + dedup hits) and the share
-//      of them that were dedup hits, from the dp.* counters;
+//      weighted large-table row whose dedup table outgrows L2, so the
+//      sweep's batched-probe regime has a number, and one infeasible
+//      two-word instance (Problems 1 and 2 only) that the depth-first
+//      search must exhaust. "nodes" is what the
+//      search held: graph nodes for the weighted sweep, visited states
+//      for the depth-first search of Problems 1 and 2, whose rows also
+//      print the full graph's node count (the unit-weight sweep) beside
+//      it. Each row also prints its expansions (successors generated:
+//      nodes - 1 + dedup hits, a hit being a successor already built or
+//      proven dead) and the share of them that were hits, from the dp.*
+//      counters;
 //   B. Monte-Carlo routability() throughput, serial vs the thread pool,
 //      with a bit-identical-result check across thread counts;
 //   C. the parallel suite driver: harness::robust_route over the whole
@@ -88,6 +95,9 @@ struct BenchRow {
   bool success = false;
   double weight = 0.0;
   std::size_t words_per_state = 0;  // packed occupancy words per frontier
+  // Problems 1 and 2: nodes of the full assignment graph; unset for the
+  // weighted rows, whose total_nodes already is that count.
+  std::optional<std::uint64_t> graph_nodes = std::nullopt;
   // Dedup probes of one route and the share that hit an existing node;
   // unset for registry rows and in builds without metrics.
   std::optional<std::uint64_t> expansions = std::nullopt;
@@ -121,14 +131,30 @@ std::vector<NamedInstance> bench_instances() {
   return out;
 }
 
-/// A W=2 instance whose largest level holds about 120k nodes, so its
-/// dedup slot array (about 12 MB) is far past alg::kProbeBatchMinBytes.
-/// Section A only: section C keeps its twelve instances.
+/// A W=2 instance whose largest level holds about 120k nodes, so the
+/// sweep's dedup slot array (about 12 MB) is far past
+/// alg::kProbeBatchMinBytes. Section A only, weighted only (the
+/// depth-first search of Problem 1 never builds that table): section C
+/// keeps its twelve instances.
 NamedInstance large_table_instance() {
   auto ch = gen::staggered_segmentation(12, 48, 6);
   std::mt19937_64 rng(23);
   auto cs = gen::routable_workload(ch, 36, 7.0, rng);
   return {"gen-large", std::move(ch), std::move(cs)};
+}
+
+/// A W=2 instance the depth-first search must exhaust: a routable
+/// 24-connection workload on gen-large's channel, then 13 connections on
+/// its last column, one more than there are tracks. Every reachable
+/// state is dead (126,643 of them unlimited), so the multi-word search
+/// and its dead set, which outgrows L2 here, have a gated number.
+/// Section A only, Problems 1 and 2 only.
+NamedInstance blocked_instance() {
+  auto ch = gen::staggered_segmentation(12, 48, 6);
+  std::mt19937_64 rng(23);
+  auto cs = gen::routable_workload(ch, 24, 7.0, rng);
+  for (int i = 0; i < 13; ++i) cs.add(48, 48);
+  return {"gen-blocked", std::move(ch), std::move(cs)};
 }
 
 using bench::fmt;
@@ -163,13 +189,14 @@ int main(int argc, char** argv) {
   // --- Section A: dp_route per instance and mode -------------------------
   const auto w = weights::occupied_length();
   std::vector<BenchRow> rows;
-  io::Table table({"instance", "mode", "ms/route", "nodes", "expansions",
-                   "hit%", "ok", "weight"});
+  io::Table table({"instance", "mode", "ms/route", "nodes", "graph",
+                   "expansions", "hit%", "ok", "weight"});
   obs::Counter& nodes_created =
       obs::Registry::instance().counter("dp.nodes_created");
   obs::Counter& dedup_hits = obs::Registry::instance().counter("dp.dedup_hits");
   std::vector<NamedInstance> section_a = bench_instances();
   section_a.push_back(large_table_instance());
+  section_a.push_back(blocked_instance());
   for (const auto& inst : section_a) {
     // Words per packed frontier for this instance — fixed by (tracks,
     // width), reported so perf JSON records the state layout it timed.
@@ -178,11 +205,22 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(inst.channel.num_tracks()),
         static_cast<std::uint32_t>(inst.channel.width() + 1));
     const std::size_t wps = codec.words();
-    const auto run_mode = [&](const std::string& mode, auto&& route) {
+    // `search_k`: for a Problem-1/2 row, its K, so the row also counts
+    // the full graph (same K, unit weights: the level sweep).
+    const auto run_mode = [&](const std::string& mode, auto&& route,
+                              std::optional<int> search_k = std::nullopt) {
       BenchRow row;
       row.key = inst.name + "/" + mode;
       row.words_per_state = wps;
       row.ms_per_route = time_ms_per_call(route, quick);
+      if (search_k) {
+        alg::DpOptions full;
+        full.max_segments = *search_k;
+        full.weight = weights::unit();
+        row.graph_nodes =
+            alg::dp_route(inst.channel, inst.connections, full)
+                .stats.total_nodes;
+      }
       const std::uint64_t nodes0 = nodes_created.value();
       const std::uint64_t hits0 = dedup_hits.value();
       const alg::RouteResult r = route();
@@ -204,20 +242,31 @@ int main(int argc, char** argv) {
         hit_col = io::Table::num(100.0 * row.dedup_hit_ratio, 1);
       }
       table.add_row({inst.name, mode, io::Table::num(row.ms_per_route, 4),
-                     io::Table::num(row.total_nodes), exp_col, hit_col,
-                     row.success ? "yes" : "no", io::Table::num(row.weight)});
+                     io::Table::num(row.total_nodes),
+                     row.graph_nodes ? io::Table::num(*row.graph_nodes) : "-",
+                     exp_col, hit_col, row.success ? "yes" : "no",
+                     io::Table::num(row.weight)});
       rows.push_back(row);
     };
-    run_mode("unlimited", [&] {
-      return alg::dp_route_unlimited(inst.channel, inst.connections);
-    });
-    if (inst.name == "gen-large") continue;  // one row: the batched regime
-    run_mode("k2", [&] {
-      return alg::dp_route_ksegment(inst.channel, inst.connections, 2);
-    });
-    run_mode("weighted", [&] {
+    const auto weighted = [&] {
       return alg::dp_route_optimal(inst.channel, inst.connections, w);
-    });
+    };
+    if (inst.name == "gen-large") {  // one row: the batched regime
+      run_mode("weighted", weighted);
+      continue;
+    }
+    const bool search_only = inst.name == "gen-blocked";
+    run_mode(
+        "unlimited",
+        [&] { return alg::dp_route_unlimited(inst.channel, inst.connections); },
+        0);
+    run_mode(
+        "k2",
+        [&] {
+          return alg::dp_route_ksegment(inst.channel, inst.connections, 2);
+        },
+        2);
+    if (!search_only) run_mode("weighted", weighted);
   }
   std::cout << "DP hot path — per-instance routing cost\n";
   table.print(std::cout);
@@ -333,7 +382,9 @@ int main(int argc, char** argv) {
     const BenchRow& r = rows[i];
     js << "    {\"key\": " << "\"" << io::json_escape(r.key) << "\""
        << ", \"ms_per_route\": " << fmt(r.ms_per_route)
-       << ", \"total_nodes\": " << r.total_nodes
+       << ", \"total_nodes\": " << r.total_nodes;
+    if (r.graph_nodes) js << ", \"graph_nodes\": " << *r.graph_nodes;
+    js
        << ", \"success\": " << (r.success ? "true" : "false")
        << ", \"weight\": " << fmt(r.weight)
        << ", \"words_per_state\": " << r.words_per_state;
@@ -397,9 +448,9 @@ int main(int argc, char** argv) {
                   << " != baseline " << *bw << "\n";
         ++failures;
       }
-      // Node counts are deterministic (the packed layout is injective),
-      // so any drift means the explored graph changed — fatal, not a
-      // perf regression.
+      // Node counts are deterministic (the packed layout is injective and
+      // the depth-first order fixed), so any drift means the explored
+      // states changed — fatal, not a perf regression.
       if (bn && *bn != static_cast<double>(r.total_nodes)) {
         std::cout << "  FAIL " << r.key << ": node count " << r.total_nodes
                   << " != baseline " << *bn << "\n";

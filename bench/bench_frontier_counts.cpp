@@ -3,7 +3,8 @@
 //   unlimited routing:    L <= 2 * T!           (Theorem 5)
 //   K-segment routing:    L <= (K+1)^T          (Theorem 6)
 //   two track types:      L = O((T1*T2)^K)      (Theorem 7)
-// Also serves as the ablation for frontier canonicalization.
+// Also serves as the ablation for frontier canonicalization. L is read
+// off the full graph (the unit-weight sweep; see full_graph()).
 #include <iostream>
 #include <random>
 #include <set>
@@ -40,6 +41,16 @@ std::uint64_t ipow(std::uint64_t b, int e) {
   return r;
 }
 
+// The whole assignment graph: unit weights put the router on its level
+// sweep, which builds every level (Problems 1 and 2 alone search
+// depth-first and visit only the states they need). Same graph, since
+// the weight only picks parents.
+alg::DpOptions full_graph() {
+  alg::DpOptions o;
+  o.weight = weights::unit();
+  return o;
+}
+
 }  // namespace
 
 int main() {
@@ -55,7 +66,7 @@ int main() {
       for (int i = 0; i < trials; ++i) {
         const auto ch = random_channel(T, 16, 4, rng);
         const auto cs = gen::geometric_workload(10, 16, 4.0, rng);
-        alg::DpOptions o;
+        alg::DpOptions o = full_graph();
         o.canonicalize_types = false;
         worst = std::max(worst, alg::dp_route(ch, cs, o).stats.max_level_nodes);
       }
@@ -73,7 +84,7 @@ int main() {
         for (int i = 0; i < trials; ++i) {
           const auto ch = random_channel(T, 16, 5, rng);
           const auto cs = gen::geometric_workload(10, 16, 4.0, rng);
-          alg::DpOptions o;
+          alg::DpOptions o = full_graph();
           o.canonicalize_types = false;
           o.max_segments = K;
           worst =
@@ -104,7 +115,7 @@ int main() {
         }
         const SegmentedChannel ch(std::move(tracks));
         const auto cs = gen::geometric_workload(14, 28, 5.0, rng);
-        alg::DpOptions raw, canon;
+        alg::DpOptions raw = full_graph(), canon = full_graph();
         raw.canonicalize_types = false;
         raw.max_segments = K;
         canon.canonicalize_types = true;

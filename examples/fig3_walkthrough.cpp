@@ -38,10 +38,10 @@ int main() {
   std::cout << "Min-weight matching (Fig. 7): total occupied length = "
             << matched.weight << "\n";
 
-  // The general DP router; also report assignment-graph statistics.
+  // The general DP router; also report its search statistics.
   const auto dp = alg::dp_route_unlimited(channel, nets);
   std::cout << "Assignment-graph DP: " << (dp ? "routed" : dp.note)
-            << "; nodes per level:";
+            << "; states visited per level:";
   for (std::size_t n : dp.stats.nodes_per_level) std::cout << ' ' << n;
   std::cout << "\n";
 

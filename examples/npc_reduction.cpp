@@ -42,8 +42,8 @@ int main() {
   // Independently, route Q from scratch with the DP.
   const auto dp = alg::dp_route_unlimited(q.channel, q.connections);
   std::cout << "DP router on Q: " << (dp ? "routed" : "failed")
-            << " (max frontiers per level: " << dp.stats.max_level_nodes
-            << ")\n";
+            << " (depth-first search visited " << dp.stats.total_nodes
+            << " states)\n";
 
   // Lemma 2: extract a matching from whatever routing the DP found.
   const auto back = npc::matching_from_routing(q, inst, dp.routing);

@@ -18,15 +18,20 @@
 // it is *bit-identical to from-scratch routing* after every edit. That
 // is the gate the randomized edit-script suite enforces.
 //
-// OnlineRouter::apply maintains canonical(S) by computing it: it applies
-// the edit to the live sequence and calls from_scratch() on the result,
-// committing only on success. The RepairOutcome says which regime the
-// new state is in: kRepair means the canonical greedy placed every
+// OnlineRouter::apply maintains canonical(S) exactly. The greedy places
+// connections in id order, so an edit at position p leaves its first p
+// placements standing; apply() re-places the sequence from p on, and a
+// connection whose span misses every column range the edit changed
+// keeps its old track without a scan. When the greedy strands a
+// connection, apply() calls from_scratch() on the edited sequence. It
+// commits only on success. The RepairOutcome says which regime the new
+// state is in: kRepair means the canonical greedy placed every
 // connection, kFullDp means the exposed routing is the DP's.
 //
-// Why a full replay and not a localized repair: live sets are small, a
-// windowed repair measured at most 1.46x faster than the replay, and
-// the DP fallback dominates the mean edit time (DESIGN.md §16.2).
+// Why not a full replay: the exact DP on a session-sized live set takes
+// a few microseconds, and a replay of the whole greedy took about as
+// long, so a session must beat the DP to earn its place (DESIGN.md
+// §16.2).
 //
 // tests/test_delta.cpp diffs sessions against its own best-fit loop and
 // dp_route call, so the tests still compare two implementations.

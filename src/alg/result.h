@@ -60,12 +60,17 @@ inline const char* to_string(FailureKind k) {
 /// Search/solve statistics; fields are filled by the routers that have
 /// something meaningful to report and left at defaults otherwise.
 struct RouteStats {
-  /// DP routers: number of assignment-graph nodes per level (level i =
-  /// frontiers after routing the first i connections).
+  /// DP routers: states the search held per level (level i = frontiers
+  /// after routing the first i connections). The level sweeps (dp_route
+  /// under Problem 3, the generalized DP) hold the whole assignment
+  /// graph; dp_route's depth-first search of Problems 1 and 2 counts the
+  /// states it visited, at most the graph's level sizes (equal to them
+  /// when the instance is infeasible).
   std::vector<std::size_t> nodes_per_level;
-  /// DP routers: total nodes in the assignment graph.
+  /// DP routers: the sum of nodes_per_level.
   std::uint64_t total_nodes = 0;
-  /// DP routers: maximum nodes on any single level (the paper's L).
+  /// DP routers: the largest entry of nodes_per_level (for a full graph,
+  /// the paper's L).
   std::size_t max_level_nodes = 0;
   /// LP router: simplex iterations; exhaustive router: branches explored.
   std::uint64_t iterations = 0;

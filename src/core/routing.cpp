@@ -59,9 +59,11 @@ bool Occupancy::fits(TrackId t, Column lo, Column hi) const {
 }
 
 bool Occupancy::place(TrackId t, Column lo, Column hi, ConnId c) {
-  if (!fits(t, lo, hi)) return false;
   auto [a, b] = ch_->track(t).span(lo, hi);
   auto& row = occ_[static_cast<std::size_t>(t)];
+  for (SegId s = a; s <= b; ++s) {
+    if (row[static_cast<std::size_t>(s)] != kNoConn) return false;
+  }
   for (SegId s = a; s <= b; ++s) row[static_cast<std::size_t>(s)] = c;
   return true;
 }

@@ -4,12 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
 #include <limits>
 #include <map>
 #include <random>
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "alg/exhaustive.h"
 #include "core/routing.h"
@@ -40,6 +42,16 @@ std::uint64_t choose(int n, int k) {
     r = r * static_cast<std::uint64_t>(n - k + i) / static_cast<std::uint64_t>(i);
   }
   return r;
+}
+
+// Options that make dp_route build the whole assignment graph: unit
+// weights put it on the level sweep, which keeps every level (Problems 1
+// and 2 alone search depth-first and visit only the states they need).
+// The weight only picks parents, so the graph is the same one.
+DpOptions full_graph() {
+  DpOptions o;
+  o.weight = weights::unit();
+  return o;
 }
 
 // Every level of `r`'s assignment graph holds at most `bound` frontiers.
@@ -161,7 +173,11 @@ TEST(Dp, CanonicalizationDoesNotChangeTheAnswer) {
     const auto b = dp_route(ch, cs, without);
     EXPECT_EQ(a.success, b.success) << "iter " << iter;
     // Merged states can never outnumber raw states.
-    EXPECT_LE(a.stats.max_level_nodes, b.stats.max_level_nodes);
+    DpOptions with_full = full_graph(), without_full = full_graph();
+    without_full.canonicalize_types = false;
+    EXPECT_LE(dp_route(ch, cs, with_full).stats.max_level_nodes,
+              dp_route(ch, cs, without_full).stats.max_level_nodes)
+        << "iter " << iter;
   }
 }
 
@@ -172,7 +188,7 @@ TEST(Dp, Theorem5FrontierBoundHolds) {
     const int T = 2 + static_cast<int>(rng() % 3);  // 2..4
     const auto ch = random_channel(T, 14, 3, rng);
     const auto cs = gen::geometric_workload(8, 14, 4.0, rng);
-    DpOptions o;
+    DpOptions o = full_graph();
     o.canonicalize_types = false;  // the theorem counts raw frontiers
     const auto r = dp_route(ch, cs, o);
     EXPECT_LE(r.stats.max_level_nodes, 2 * factorial(T))
@@ -181,7 +197,7 @@ TEST(Dp, Theorem5FrontierBoundHolds) {
   for (const auto& inst : gen::standard_suite()) {
     const int T = inst.channel.num_tracks();
     if (T > 20) continue;  // 21! overflows uint64_t
-    DpOptions o;
+    DpOptions o = full_graph();
     o.canonicalize_types = false;
     expect_levels_within(dp_route(inst.channel, inst.connections, o),
                          2 * factorial(T), inst.name);
@@ -196,7 +212,7 @@ TEST(Dp, Theorem6FrontierBoundHolds) {
     const int K = 1 + static_cast<int>(rng() % 3);
     const auto ch = random_channel(T, 14, 4, rng);
     const auto cs = gen::geometric_workload(8, 14, 4.0, rng);
-    DpOptions o;
+    DpOptions o = full_graph();
     o.canonicalize_types = false;
     o.max_segments = K;
     const auto r = dp_route(ch, cs, o);
@@ -207,7 +223,7 @@ TEST(Dp, Theorem6FrontierBoundHolds) {
     const int T = inst.channel.num_tracks();
     if (T > 40) continue;  // 3^41 overflows uint64_t
     for (int K : {1, 2}) {
-      DpOptions o;
+      DpOptions o = full_graph();
       o.canonicalize_types = false;
       o.max_segments = K;
       expect_levels_within(dp_route(inst.channel, inst.connections, o),
@@ -235,7 +251,7 @@ TEST(Dp, Theorem7CanonicalFrontierBoundHolds) {
       const std::uint64_t bound = choose(t1 + K, K) * choose(t2 + K, K);
       for (int trial = 0; trial < 10; ++trial) {
         const auto cs = gen::geometric_workload(14, 28, 5.0, rng);
-        DpOptions o;  // default: canonicalize_types
+        DpOptions o = full_graph();  // default: canonicalize_types
         o.max_segments = K;
         expect_levels_within(dp_route(ch, cs, o), bound,
                              "T=" + std::to_string(T) + " K=" +
@@ -252,7 +268,7 @@ TEST(Dp, IdenticalTracksCollapseToLinearStates) {
   const auto ch = SegmentedChannel::identical(8, 24, {6, 12, 18});
   std::mt19937_64 rng(68);
   const auto cs = gen::geometric_workload(16, 24, 4.0, rng);
-  const auto r = dp_route_unlimited(ch, cs);
+  const auto r = dp_route(ch, cs, full_graph());
   // Theorem 7 with one type: O(T^K)-ish; assert a generous concrete cap.
   EXPECT_LE(r.stats.max_level_nodes, 512u);
 }
@@ -373,28 +389,46 @@ TEST(Dp, NestedCallFromAWeightFnMatchesPlainCalls) {
 // Independent breadth-first search over normalized frontiers, the paper's
 // Section IV-B DP written plainly: a frontier is a vector of per-track
 // next-free columns, normalized to at least the next connection's left
-// end and sorted within each class of identically segmented tracks. Each
-// level maps its distinct frontiers to their least path weight (0 without
-// a weight). Returns the level sizes and the least final weight.
+// end and sorted within each class of identically segmented tracks (or
+// per track, without canonicalization). Each level maps its distinct
+// frontiers to their least path weight (0 without a weight) and to the
+// lexicographically smallest class sequence reaching them. Returns the
+// level sizes, the least final weight, and the routing that replays the
+// smallest complete class sequence.
+struct BfsProblem {
+  const WeightFn* weight = nullptr;  // Problem 3
+  int max_segments = 0;              // Problem 2 when > 0
+  bool canonicalize = true;
+};
+
 struct BfsLevels {
   std::vector<std::size_t> sizes;
   double weight = 0.0;
+  bool feasible = false;
+  // Classes are numbered in first-appearance order of their tracks;
+  // each connection, by left end, takes the lowest-numbered free track
+  // of its class.
+  Routing first_routing;
 };
 
 BfsLevels frontier_bfs(const SegmentedChannel& ch, const ConnectionSet& cs,
-                       const WeightFn* weight) {
+                       const BfsProblem& pb = {}) {
   // Positions grouped by class: pos_track[p] is the track at position p,
-  // and [class_lo[p], class_hi[p]) the class range that p belongs to.
+  // [class_lo[p], class_hi[p]) the class range that p belongs to, and
+  // class_of[p] that class's number.
   const auto T = static_cast<std::size_t>(ch.num_tracks());
   std::vector<TrackId> pos_track;
   std::vector<std::size_t> class_lo(T), class_hi(T);
+  std::vector<int> class_of(T);
   std::vector<char> placed(T, 0);
+  int classes = 0;
   for (std::size_t t = 0; t < T; ++t) {
     if (placed[t]) continue;
     const std::size_t lo = pos_track.size();
     for (std::size_t u = t; u < T; ++u) {
-      if (!placed[u] && ch.track(static_cast<TrackId>(u)) ==
-                            ch.track(static_cast<TrackId>(t))) {
+      if (!placed[u] && (u == t || (pb.canonicalize &&
+                                    ch.track(static_cast<TrackId>(u)) ==
+                                        ch.track(static_cast<TrackId>(t))))) {
         placed[u] = 1;
         pos_track.push_back(static_cast<TrackId>(u));
       }
@@ -402,7 +436,9 @@ BfsLevels frontier_bfs(const SegmentedChannel& ch, const ConnectionSet& cs,
     for (std::size_t p = lo; p < pos_track.size(); ++p) {
       class_lo[p] = lo;
       class_hi[p] = pos_track.size();
+      class_of[p] = classes;
     }
+    ++classes;
   }
   std::vector<ConnId> order(static_cast<std::size_t>(cs.size()));
   for (ConnId i = 0; i < cs.size(); ++i) order[static_cast<std::size_t>(i)] = i;
@@ -411,38 +447,78 @@ BfsLevels frontier_bfs(const SegmentedChannel& ch, const ConnectionSet& cs,
   });
 
   using Frontier = std::vector<Column>;
+  struct Paths {
+    double weight = 0.0;
+    std::vector<int> first;  // smallest class sequence reaching the frontier
+  };
   const auto left_of = [&](std::size_t step) {
     return step < order.size() ? cs[order[step]].left : ch.width() + 1;
   };
-  std::map<Frontier, double> level{{Frontier(T, left_of(0)), 0.0}};
+  std::map<Frontier, Paths> level{{Frontier(T, left_of(0)), Paths{}}};
   BfsLevels out;
   out.sizes.push_back(1);
   for (std::size_t step = 0; step < order.size() && !level.empty(); ++step) {
     const Connection& c = cs[order[step]];
     const Column next_left = left_of(step + 1);
-    std::map<Frontier, double> next;
-    for (const auto& [x, w] : level) {
+    std::map<Frontier, Paths> next;
+    for (const auto& [x, from] : level) {
       for (std::size_t p = 0; p < T; ++p) {
         if (x[p] > c.left) continue;  // track busy at the left end
         const Track& tr = ch.track(pos_track[p]);
+        if (pb.max_segments > 0 &&
+            tr.segments_spanned(c.left, c.right) > pb.max_segments) {
+          continue;
+        }
         const double cost =
-            weight ? w + (*weight)(ch, c, pos_track[p]) : 0.0;
+            pb.weight ? from.weight + (*pb.weight)(ch, c, pos_track[p]) : 0.0;
         if (std::isinf(cost)) continue;
         Frontier y = x;
         y[p] = tr.segment(tr.segment_at(c.right)).right + 1;
         for (Column& v : y) v = std::max(v, next_left);
         std::sort(y.begin() + static_cast<std::ptrdiff_t>(class_lo[p]),
                   y.begin() + static_cast<std::ptrdiff_t>(class_hi[p]));
-        const auto [it, fresh] = next.emplace(std::move(y), cost);
-        if (!fresh) it->second = std::min(it->second, cost);
+        const auto [it, fresh] = next.try_emplace(std::move(y));
+        Paths& to = it->second;
+        // Is from.first + [class_of[p]] smaller than to.first? Both have
+        // step + 1 entries.
+        const auto smaller = [&] {
+          const auto cmp = std::lexicographical_compare_three_way(
+              from.first.begin(), from.first.end(), to.first.begin(),
+              to.first.begin() + static_cast<std::ptrdiff_t>(step));
+          return cmp < 0 || (cmp == 0 && class_of[p] < to.first.back());
+        };
+        if (fresh || smaller()) {
+          to.first = from.first;
+          to.first.push_back(class_of[p]);
+        }
+        to.weight = fresh ? cost : std::min(to.weight, cost);
       }
     }
     level = std::move(next);
     out.sizes.push_back(level.size());
   }
-  out.weight = level.empty() ? std::numeric_limits<double>::infinity()
-                             : level.begin()->second;
-  for (const auto& [x, w] : level) out.weight = std::min(out.weight, w);
+  out.feasible = !level.empty();
+  out.weight = std::numeric_limits<double>::infinity();
+  for (const auto& [x, paths] : level) {
+    out.weight = std::min(out.weight, paths.weight);
+  }
+  if (!out.feasible) return out;
+
+  // Replay the smallest complete class sequence against real tracks.
+  const std::vector<int>& seq = level.begin()->second.first;
+  std::vector<Column> next_free(T, 0);
+  out.first_routing = Routing(cs.size());
+  for (std::size_t step = 0; step < order.size(); ++step) {
+    const Connection& c = cs[order[step]];
+    for (std::size_t p = 0; p < T; ++p) {
+      const auto t = static_cast<std::size_t>(pos_track[p]);
+      if (class_of[p] != seq[step] || next_free[t] > c.left) continue;
+      const Track& tr = ch.track(pos_track[p]);
+      next_free[t] = tr.segment(tr.segment_at(c.right)).right + 1;
+      out.first_routing.assign(order[step], pos_track[p]);
+      break;
+    }
+  }
   return out;
 }
 
@@ -483,26 +559,31 @@ TableGrowth replay_table(const SegmentedChannel& ch,
   return g;
 }
 
-// `feas` is dp_route_unlimited(ch, cs); Problem 3 is routed here.
+// `full` is dp_route(ch, cs, full_graph()); Problem 3 is routed here.
 void expect_levels_match_bfs(const SegmentedChannel& ch,
                              const ConnectionSet& cs,
-                             const RouteResult& feas) {
+                             const RouteResult& full) {
   const WeightFn w = weights::occupied_length();
-  EXPECT_EQ(feas.stats.nodes_per_level, frontier_bfs(ch, cs, nullptr).sizes);
+  const BfsLevels plain = frontier_bfs(ch, cs);
+  EXPECT_EQ(full.stats.nodes_per_level, plain.sizes);
+  // The depth-first search reads the same routing off the same graph.
+  EXPECT_TRUE(dp_route_unlimited(ch, cs).routing == plain.first_routing);
+  EXPECT_TRUE(full.routing == plain.first_routing);
 
   const RouteResult opt = dp_route_optimal(ch, cs, w);
   ASSERT_TRUE(opt.success) << opt.note;
-  const BfsLevels bfs = frontier_bfs(ch, cs, &w);
+  const BfsLevels bfs = frontier_bfs(ch, cs, {&w});
   EXPECT_EQ(opt.stats.nodes_per_level, bfs.sizes);
   EXPECT_EQ(opt.weight, bfs.weight);
   EXPECT_EQ(total_weight(ch, cs, opt.routing, w), opt.weight);
 }
 
-// Dedup probes resolve immediately below kProbeBatchMinBytes and through
-// the staged batch above it. Both regimes, on the one-word and the
-// multi-word path, must explore exactly the frontiers of an independent
-// search, level by level, in feasibility mode and under Problem 3's
-// min-weight updates.
+// The level sweep's dedup probes resolve immediately below
+// kProbeBatchMinBytes and through the staged batch above it. Both
+// regimes, on the one-word and the multi-word path, must build exactly
+// the frontiers of an independent search, level by level, under unit
+// weights (the whole graph, first-discoverer parents) and under Problem
+// 3's min-weight updates.
 TEST(Dp, CacheResidentLevelsMatchAnIndependentFrontierSearch) {
   // Repeated track types, so canonicalization merges frontiers: one
   // packed word per frontier (4 types), then two (6 types).
@@ -511,7 +592,7 @@ TEST(Dp, CacheResidentLevelsMatchAnIndependentFrontierSearch) {
         std::tuple{gen::staggered_segmentation(12, 48, 6), 24, 5}}) {
     std::mt19937_64 rng(static_cast<std::uint64_t>(seed));
     const auto cs = gen::routable_workload(ch, m, 7.0, rng);
-    const RouteResult r = dp_route_unlimited(ch, cs);
+    const RouteResult r = dp_route(ch, cs, full_graph());
     ASSERT_TRUE(r.success);
     EXPECT_LT(ch.num_types(), ch.num_tracks());
     EXPECT_LT(replay_table(ch, r.stats.nodes_per_level).max_bytes,
@@ -527,7 +608,7 @@ TEST(Dp, BatchedProbeLevelsMatchAnIndependentFrontierSearch) {
     const auto ch = gen::staggered_segmentation(12, 48, 12);
     std::mt19937_64 rng(23);
     const auto cs = gen::routable_workload(ch, 18, 7.0, rng);
-    const RouteResult r = dp_route_unlimited(ch, cs);
+    const RouteResult r = dp_route(ch, cs, full_graph());
     ASSERT_TRUE(r.success);
     const TableGrowth g = replay_table(ch, r.stats.nodes_per_level);
     EXPECT_TRUE(g.crossed_mid_level);
@@ -540,11 +621,134 @@ TEST(Dp, BatchedProbeLevelsMatchAnIndependentFrontierSearch) {
     const auto ch = gen::staggered_segmentation(10, 40, 10);
     std::mt19937_64 rng(10);
     const auto cs = gen::routable_workload(ch, 16, 10.0, rng);
-    const RouteResult r = dp_route_unlimited(ch, cs);
+    const RouteResult r = dp_route(ch, cs, full_graph());
     ASSERT_TRUE(r.success);
     EXPECT_TRUE(
         replay_table(ch, r.stats.nodes_per_level).resized_while_batched);
     expect_levels_match_bfs(ch, cs, r);
+  }
+}
+
+// One seeded instance for the depth-first tests: random cuts or
+// staggered (repeated) types, one or two packed words per frontier, and
+// workloads dense enough that a good share are infeasible.
+std::pair<SegmentedChannel, ConnectionSet> seeded_instance(int seed) {
+  std::mt19937_64 rng(static_cast<std::uint64_t>(seed));
+  const bool wide = seed % 10 == 0;  // 11 tracks: two packed words
+  const auto T = static_cast<TrackId>(wide ? 11 : 2 + rng() % 5);
+  const auto width =
+      static_cast<Column>(wide ? 32 + rng() % 14 : 12 + rng() % 13);
+  SegmentedChannel ch =
+      seed % 2 == 0
+          ? random_channel(T, width, 1 + static_cast<int>(rng() % 4), rng)
+          : gen::staggered_segmentation(T, width,
+                                        2 + static_cast<int>(rng() % 4));
+  const int m = 3 + static_cast<int>(rng() % (wide ? 6 : 10));
+  ConnectionSet cs = gen::geometric_workload(m, width, wide ? 6.0 : 4.0, rng);
+  return {std::move(ch), std::move(cs)};
+}
+
+// Problems 1 and 2 search depth-first and must return exactly the level
+// sweep's routing: the replay of the lexicographically smallest complete
+// class sequence, read off an independent frontier search.
+TEST(Dp, DepthFirstReturnsTheSweepRouting) {
+  int feasible = 0, infeasible = 0, wide = 0;
+  const auto check = [&](const SegmentedChannel& ch, const ConnectionSet& cs,
+                         const std::string& where) {
+    for (const int k : {0, 2}) {
+      for (const bool canon : {true, false}) {
+        DpOptions o;
+        o.max_segments = k;
+        o.canonicalize_types = canon;
+        const RouteResult r = dp_route(ch, cs, o);
+        const BfsLevels bfs = frontier_bfs(ch, cs, {nullptr, k, canon});
+        const std::string at = where + " k=" + std::to_string(k) +
+                               (canon ? " canonical" : " raw");
+        ASSERT_EQ(r.success, bfs.feasible) << at;
+        if (r.success) {
+          EXPECT_TRUE(r.routing == bfs.first_routing) << at;
+          ++feasible;
+        } else {
+          EXPECT_EQ(r.failure, FailureKind::kInfeasible) << at;
+          ++infeasible;
+        }
+      }
+    }
+  };
+  for (const auto& inst : gen::standard_suite()) {
+    check(inst.channel, inst.connections, inst.name);
+  }
+  for (int seed = 0; seed < 2000; ++seed) {
+    const auto [ch, cs] = seeded_instance(seed);
+    bits::FrontierCodec codec;
+    codec.init_uniform(static_cast<std::size_t>(ch.num_tracks()),
+                       static_cast<std::uint32_t>(ch.width() + 1));
+    wide += codec.words() > 1;
+    check(ch, cs, "seed " + std::to_string(seed));
+  }
+  EXPECT_GT(feasible, 1000);
+  EXPECT_GT(infeasible, 1000);
+  EXPECT_GE(wide, 200);
+}
+
+// Every state the depth-first search expands is a node of the full
+// graph, and none twice: per level it visits at most the graph's nodes
+// (exactly them when infeasible), so a tick budget or node limit the
+// sweep fits in never stops it, and it still returns the sweep's routing.
+TEST(Dp, DepthFirstNeverOutspendsTheSweep) {
+  const auto check = [&](const SegmentedChannel& ch, const ConnectionSet& cs,
+                         const std::string& where) {
+    for (const int k : {0, 2}) {
+      for (const bool canon : {true, false}) {
+        DpOptions o;
+        o.max_segments = k;
+        o.canonicalize_types = canon;
+        DpOptions full = full_graph();
+        full.max_segments = k;
+        full.canonicalize_types = canon;
+        const RouteResult r = dp_route(ch, cs, o);
+        const RouteResult g = dp_route(ch, cs, full);
+        const std::string at = where + " k=" + std::to_string(k) +
+                               (canon ? " canonical" : " raw");
+        ASSERT_EQ(r.success, g.success) << at;
+        const auto& dl = r.stats.nodes_per_level;
+        const auto& gl = g.stats.nodes_per_level;
+        ASSERT_EQ(dl.size(), gl.size()) << at;
+        for (std::size_t i = 0; i < dl.size(); ++i) {
+          EXPECT_LE(dl[i], gl[i]) << at << " level " << i;
+        }
+        if (!r.success) {
+          EXPECT_EQ(dl, gl) << at;
+        }
+        EXPECT_LE(r.stats.total_nodes, g.stats.total_nodes) << at;
+
+        // The sweep spends one tick per (node, class) below the last level.
+        std::uint64_t expansions = 0;
+        const auto m = static_cast<std::size_t>(cs.size());
+        for (std::size_t i = 0; i < gl.size() && i < m; ++i) {
+          expansions += gl[i];
+        }
+        const auto classes =
+            static_cast<std::uint64_t>(canon ? ch.num_types() : ch.num_tracks());
+        DpOptions tight = o;
+        tight.budget = harness::Budget::with_ticks(expansions * classes);
+        tight.max_total_nodes = g.stats.total_nodes;
+        const RouteResult b = dp_route(ch, cs, tight);
+        EXPECT_EQ(b.success, g.success) << at << ": " << b.note;
+        if (g.success) {
+          EXPECT_TRUE(b.routing == g.routing) << at;
+        } else {
+          EXPECT_EQ(b.failure, FailureKind::kInfeasible) << at;
+        }
+      }
+    }
+  };
+  for (const auto& inst : gen::standard_suite()) {
+    check(inst.channel, inst.connections, inst.name);
+  }
+  for (int seed = 0; seed < 2000; ++seed) {
+    const auto [ch, cs] = seeded_instance(seed);
+    check(ch, cs, "seed " + std::to_string(seed));
   }
 }
 

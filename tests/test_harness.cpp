@@ -545,18 +545,34 @@ TEST(RobustRoute, DeadlineHonoredWithGracefulFallback) {
   std::mt19937_64 rng(20260806);
   std::vector<Track> tracks;
   for (TrackId t = 0; t < T; ++t) {
-    // Pairwise-distinct segmentations: offset-striped cuts. The raw DP
-    // needs seconds on this instance (~1.4M assignment-graph nodes).
+    // Pairwise-distinct segmentations: offset-striped cuts. The level
+    // sweep needs seconds on this instance (~1.4M assignment-graph nodes).
     std::set<Column> cuts;
     for (Column c = 2 + t, k = 0; c < width; c += 2 + ((t + k) % 4), ++k) {
       cuts.insert(c);
     }
     tracks.emplace_back(width, std::vector<Column>(cuts.begin(), cuts.end()));
   }
-  const SegmentedChannel ch(std::move(tracks));
   // max_segments=1 guarantees a 1-segment witness: greedy1 will succeed.
-  const auto cs = gen::routable_workload(ch, 120, 6.0, rng, /*max_segments=*/1);
-  ASSERT_GE(cs.size(), 80);
+  const auto body = gen::routable_workload(SegmentedChannel(tracks), 120, 6.0,
+                                           rng, /*max_segments=*/1);
+  ASSERT_GE(body.size(), 80);
+  // The depth-first search of Problem 1 must be hostile too. Widen the
+  // channel by a two-column tail that every striped track cuts off, and
+  // add an uncut track first: the search tries it first for every
+  // connection, and any connection on it blocks it for good. A closing
+  // block of T + 1 tail connections needs every track, uncut one
+  // included, so each such branch dies only at the last column, after the
+  // search has walked the whole striped graph beneath it.
+  std::vector<Track> wide{Track(width + 2, {})};
+  for (const Track& tr : tracks) {
+    std::vector<Column> cuts;
+    for (const Segment& s : tr.segments()) cuts.push_back(s.right);
+    wide.emplace_back(width + 2, std::move(cuts));  // the last cut is `width`
+  }
+  const SegmentedChannel ch(std::move(wide));
+  ConnectionSet cs = body;
+  for (TrackId t = 0; t <= T; ++t) cs.add(width + 1, width + 2);
 
   RobustOptions o;
   o.deadline = std::chrono::milliseconds(50);

@@ -26,6 +26,7 @@
 #include "engine/batch.h"
 #include "fpga/fabric.h"
 #include "gen/segmentation.h"
+#include "gen/suite.h"
 #include "gen/workload.h"
 #include "harness/robust_route.h"
 #include "obs/clock.h"
@@ -469,6 +470,37 @@ TEST(ObsRouting, InstrumentationFollowsBuildMode) {
   // hears about routing.
   EXPECT_EQ(after, before);
   EXPECT_EQ(after, 0u);
+#endif
+}
+
+// The depth-first search (Problems 1 and 2) counts the states it proved
+// dead, flushed once per call; the weighted sweep adds none.
+TEST(ObsRouting, DpCountsTheDepthFirstSearchsDeadStates) {
+  const auto inst = gen::suite_instance("staggered-mid");  // infeasible
+  Counter& dead = Registry::instance().counter("dp.dead_states");
+  const std::uint64_t dead0 = dead.value();
+  TraceSession session;
+  ASSERT_TRUE(session.start());
+  const auto plain = alg::dp_route_unlimited(inst.channel, inst.connections);
+  const auto weighted = alg::dp_route_optimal(inst.channel, inst.connections,
+                                              weights::unit());
+  session.stop();
+  ASSERT_FALSE(plain.success);
+  ASSERT_EQ(plain.failure, alg::FailureKind::kInfeasible);
+  ASSERT_FALSE(weighted.success);
+#if SEGROUTE_OBS_ENABLED
+  // Infeasible: every state the search visited was proven dead.
+  EXPECT_EQ(dead.value() - dead0, plain.stats.total_nodes);
+  // One outcome-tagged alg.dp_route span per call, nothing nested.
+  EXPECT_EQ(count_events(session.events(), "alg.dp_route"), 2u);
+  for (const TraceEvent& e : session.events()) {
+    if (std::string("alg.dp_route") != e.name) continue;
+    EXPECT_STREQ(e.tag_key, "outcome");
+    EXPECT_STREQ(e.tag_str, "infeasible");
+  }
+#else
+  EXPECT_EQ(dead.value(), dead0);
+  EXPECT_TRUE(session.events().empty());
 #endif
 }
 

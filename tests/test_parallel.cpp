@@ -12,6 +12,7 @@
 
 #include "alg/capacity.h"
 #include "alg/dp.h"
+#include "core/weights.h"
 #include "gen/segmentation.h"
 #include "gen/suite.h"
 #include "gen/workload.h"
@@ -115,7 +116,10 @@ TEST(ParallelCapacity, RoutabilityBitIdenticalAcrossThreadCounts) {
 
 TEST(DpStats, NodeLimitExitReportsConsistentStats) {
   const auto inst = gen::suite_instance("routable-large");
+  // The full graph (unit weights: the level sweep); the depth-first
+  // search of Problem 1 reaches the last level in fewer than 50 states.
   alg::DpOptions o;
+  o.weight = weights::unit();
   o.max_total_nodes = 50;  // force the node-limit exit mid-build
   const auto r = alg::dp_route(inst.channel, inst.connections, o);
   ASSERT_FALSE(r.success);
