@@ -4,16 +4,19 @@
 //      generated ones) in all three problem modes: unlimited (Problem 1),
 //      K = 2 (Problem 2), weighted occupied-length (Problem 3); plus one
 //      weighted large-table row whose dedup table outgrows L2, so the
-//      sweep's batched-probe regime has a number, and one infeasible
-//      two-word instance (Problems 1 and 2 only) that the depth-first
-//      search must exhaust. "nodes" is what the
+//      sweep's batched-probe regime has a number, one infeasible
+//      two-word instance (Problems 1 and 2 only) that column density
+//      proves dead, and one Problem-1 instance per state width (one and
+//      two words) that the depth-first search must exhaust because its
+//      dead ends come from segmentation, which column density cannot
+//      see. "nodes" is what the
 //      search held: graph nodes for the weighted sweep, visited states
 //      for the depth-first search of Problems 1 and 2, whose rows also
 //      print the full graph's node count (the unit-weight sweep) beside
 //      it. Each row also prints its expansions (successors generated:
 //      nodes - 1 + dedup hits, a hit being a successor already built or
-//      proven dead) and the share of them that were hits, from the dp.*
-//      counters;
+//      proven dead), the share of them that were hits, and the states
+//      column density pruned, from the dp.* counters;
 //   B. Monte-Carlo routability() throughput, serial vs the thread pool,
 //      with a bit-identical-result check across thread counts;
 //   C. the parallel suite driver: harness::robust_route over the whole
@@ -102,6 +105,9 @@ struct BenchRow {
   // unset for registry rows and in builds without metrics.
   std::optional<std::uint64_t> expansions = std::nullopt;
   double dedup_hit_ratio = 0.0;
+  // States the depth-first search skipped or abandoned because column
+  // density proved them dead; unset where expansions is.
+  std::optional<std::uint64_t> pruned = std::nullopt;
 };
 
 struct NamedInstance {
@@ -143,18 +149,48 @@ NamedInstance large_table_instance() {
   return {"gen-large", std::move(ch), std::move(cs)};
 }
 
-/// A W=2 instance the depth-first search must exhaust: a routable
-/// 24-connection workload on gen-large's channel, then 13 connections on
-/// its last column, one more than there are tracks. Every reachable
-/// state is dead (126,643 of them unlimited), so the multi-word search
-/// and its dead set, which outgrows L2 here, have a gated number.
-/// Section A only, Problems 1 and 2 only.
+/// A W=2 instance that is over-dense: a routable 24-connection workload
+/// on gen-large's channel, then 13 connections on its last column, one
+/// more than there are tracks. Every reachable state is dead (126,643 of
+/// them unlimited), and the search ends once the first one builds the
+/// column-density thresholds: its root fails them. Section A only,
+/// Problems 1 and 2 only.
 NamedInstance blocked_instance() {
   auto ch = gen::staggered_segmentation(12, 48, 6);
   std::mt19937_64 rng(23);
   auto cs = gen::routable_workload(ch, 24, 7.0, rng);
   for (int i = 0; i < 13; ++i) cs.add(48, 48);
   return {"gen-blocked", std::move(ch), std::move(cs)};
+}
+
+/// A Problem-1 instance the depth-first search must exhaust although no
+/// column is over-dense: a routable workload on a staggered channel whose
+/// tracks all end in one segment over a four-column tail, then T + 1
+/// one-column connections spread over that tail. A segment hosts one
+/// connection, so the tail needs T + 1 tracks; column density cannot see
+/// that, so the prune cuts only a few states near the tail and the search
+/// backtracks through nearly the whole graph. One such row per state
+/// width gates the per-state cost of the one-word and the multi-word
+/// loop. Section A only, Problem 1 only.
+NamedInstance segment_blocked_instance(std::string name, TrackId T,
+                                       Column width, Column seglen, int m,
+                                       std::uint64_t seed) {
+  constexpr Column kTail = 4;
+  const auto body_ch = gen::staggered_segmentation(T, width, seglen);
+  std::vector<Track> tracks;
+  for (TrackId t = 0; t < T; ++t) {
+    std::vector<Column> cuts;  // the last one is `width`
+    for (const Segment& s : body_ch.track(t).segments()) cuts.push_back(s.right);
+    tracks.emplace_back(width + kTail, std::move(cuts));
+  }
+  std::mt19937_64 rng(seed);
+  auto cs = gen::routable_workload(body_ch, m, 7.0, rng);
+  for (TrackId i = 0; i <= T; ++i) {
+    const Column c = width + 1 + i % kTail;
+    cs.add(c, c);
+  }
+  return {std::move(name), SegmentedChannel(std::move(tracks)),
+          std::move(cs)};
 }
 
 using bench::fmt;
@@ -190,13 +226,18 @@ int main(int argc, char** argv) {
   const auto w = weights::occupied_length();
   std::vector<BenchRow> rows;
   io::Table table({"instance", "mode", "ms/route", "nodes", "graph",
-                   "expansions", "hit%", "ok", "weight"});
+                   "expansions", "hit%", "pruned", "ok", "weight"});
   obs::Counter& nodes_created =
       obs::Registry::instance().counter("dp.nodes_created");
   obs::Counter& dedup_hits = obs::Registry::instance().counter("dp.dedup_hits");
+  obs::Counter& pruned = obs::Registry::instance().counter("dp.pruned_states");
   std::vector<NamedInstance> section_a = bench_instances();
   section_a.push_back(large_table_instance());
   section_a.push_back(blocked_instance());
+  section_a.push_back(
+      segment_blocked_instance("seg-blocked", 8, 90, 8, 60, 2001));
+  section_a.push_back(
+      segment_blocked_instance("seg-blocked-wide", 12, 44, 6, 30, 23));
   for (const auto& inst : section_a) {
     // Words per packed frontier for this instance — fixed by (tracks,
     // width), reported so perf JSON records the state layout it timed.
@@ -223,12 +264,14 @@ int main(int argc, char** argv) {
       }
       const std::uint64_t nodes0 = nodes_created.value();
       const std::uint64_t hits0 = dedup_hits.value();
+      const std::uint64_t pruned0 = pruned.value();
       const alg::RouteResult r = route();
       row.total_nodes = r.stats.total_nodes;
       row.success = r.success;
       row.weight = r.weight;
       std::string exp_col = "-";
       std::string hit_col = "-";
+      std::string pruned_col = "-";
       if (kCountersLive) {
         // Every expansion is one dedup probe: it either appends a node
         // (every node but the root) or hits an existing one.
@@ -240,11 +283,13 @@ int main(int argc, char** argv) {
                                 : 0.0;
         exp_col = io::Table::num(*row.expansions);
         hit_col = io::Table::num(100.0 * row.dedup_hit_ratio, 1);
+        row.pruned = pruned.value() - pruned0;
+        pruned_col = io::Table::num(*row.pruned);
       }
       table.add_row({inst.name, mode, io::Table::num(row.ms_per_route, 4),
                      io::Table::num(row.total_nodes),
                      row.graph_nodes ? io::Table::num(*row.graph_nodes) : "-",
-                     exp_col, hit_col, row.success ? "yes" : "no",
+                     exp_col, hit_col, pruned_col, row.success ? "yes" : "no",
                      io::Table::num(row.weight)});
       rows.push_back(row);
     };
@@ -260,6 +305,7 @@ int main(int argc, char** argv) {
         "unlimited",
         [&] { return alg::dp_route_unlimited(inst.channel, inst.connections); },
         0);
+    if (inst.name.starts_with("seg-blocked")) continue;  // Problem 1 only
     run_mode(
         "k2",
         [&] {
@@ -390,7 +436,8 @@ int main(int argc, char** argv) {
        << ", \"words_per_state\": " << r.words_per_state;
     if (r.expansions) {
       js << ", \"expansions\": " << *r.expansions
-         << ", \"dedup_hit_ratio\": " << fmt(r.dedup_hit_ratio);
+         << ", \"dedup_hit_ratio\": " << fmt(r.dedup_hit_ratio)
+         << ", \"pruned\": " << *r.pruned;
     }
     js << "}"
        << (i + 1 < rows.size() ? "," : "") << "\n";

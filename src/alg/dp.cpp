@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <utility>
 
@@ -125,11 +126,13 @@ struct DpCall {
   // One-word SWAR constants: bit 0 of every field, and the map from a
   // class representative's top field bit back to its class index.
   std::uint64_t swar_lo = 0;
+  std::uint64_t swar_hi = 0;  // top bit of every field
   std::uint8_t pos2cls[64] = {};
 
   // Flushed once per call by dp_route.
   std::uint64_t dedup_hits = 0;
   std::uint64_t dead_states = 0;
+  std::uint64_t pruned_states = 0;
   std::size_t state_bytes = 0;
 
   [[nodiscard]] int cb(int cl) const {
@@ -193,11 +196,150 @@ struct DpCall {
     res.stats.nodes_per_level.push_back(0);
   }
 
+  void build_thresholds();
+  [[nodiscard]] Column child_bound(std::uint64_t word, std::size_t i) const;
+  [[nodiscard]] Column child_bound(const std::int32_t* fields,
+                                   std::size_t i) const;
+  std::uint64_t drop_dead(std::uint64_t cand, std::uint64_t word,
+                          std::uint64_t L, const Column* free, Column bound);
+  std::int32_t drop_dead(std::uint64_t* open, std::int32_t from,
+                         std::int32_t n, const Column* free, Column bound);
+
   bool sweep();
   bool depth_first();
   template <bool kOneWord>
   bool depth_first_loop(std::uint64_t node_cap);
 };
+
+// ---- Column density --------------------------------------------------------
+
+// No column-density bound on a child's next-free column.
+constexpr Column kNoBound = std::numeric_limits<Column>::max();
+
+// Connections that share a column need distinct tracks, and a track whose
+// next free column is x hosts only connections starting at or after x. So
+// with t_i(k) the first column where k of the connections i..M-1 overlap,
+// a state at level i reaches level M only if, for every k, at least k of
+// its entries are <= t_i(k). t_i(k) only ever steps up at a left end, so
+// one backward pass over the sorted connections, keeping each one's overlap
+// count at its left end, yields every level's row in O(M^2): level i's row
+// lists the runs (t, k) where the prefix maximum of those counts first
+// reaches k, or -1 once it passes T.
+void DpCall::build_thresholds() {
+  const auto Ms = static_cast<std::size_t>(M);
+  auto& dens = ws.thr_dens;
+  dens.assign(Ms, 0);
+  ws.thr_n.resize(Ms + 1);
+  ws.thr_n[Ms] = 0;  // level M: nothing left to route
+  ws.thr_t.resize(Ms * Ts);
+  ws.thr_k.resize(Ms * Ts);
+  const auto T = static_cast<std::int32_t>(Ts);
+  for (ConnId i = M; i-- > 0;) {
+    const auto iu = static_cast<std::size_t>(i);
+    const Column L = left(i);
+    const Column R = cs[ws.order[iu]].right;
+    // Connection i covers every later left end up to its right end.
+    for (ConnId j = i + 1; j < M && left(j) <= R; ++j) {
+      ++dens[static_cast<std::size_t>(j)];
+    }
+    dens[iu] = i + 1 < M && left(i + 1) == L ? dens[iu + 1] : 1;
+    Column* const t = ws.thr_t.data() + iu * Ts;
+    std::int32_t* const k = ws.thr_k.data() + iu * Ts;
+    std::int32_t n = 0;
+    std::int32_t top = 0;
+    for (std::size_t j = iu; j < Ms; ++j) {
+      if (dens[j] <= top) continue;
+      top = dens[j];
+      if (top > T) {
+        n = -1;
+        break;
+      }
+      t[n] = left(static_cast<ConnId>(j));
+      k[n++] = top;
+    }
+    ws.thr_n[iu] = n;
+  }
+}
+
+// The children of a level-(i-1) state replace one entry equal to its left
+// end, which every row-i threshold counts, by their own next-free column
+// v; clamping to left(i) moves no entry across a threshold. So with c(t)
+// the state's entries <= t, a child passes row i iff c(t) - 1 + [v <= t]
+// >= k for every run (t, k): iff no run is short, and v is at most the
+// first run with c(t) == k. Returns that bound (kNoBound if no run is
+// tight, -1 if every child fails).
+Column DpCall::child_bound(std::uint64_t word, std::size_t i) const {
+  const std::int32_t n = ws.thr_n[i];
+  if (n < 0) return -1;
+  const Column* const t = ws.thr_t.data() + i * Ts;
+  const std::int32_t* const k = ws.thr_k.data() + i * Ts;
+  // SWAR t < x over fields with no spare bit: the high bit of a field
+  // compares directly, the low bits through a subtraction whose borrow
+  // the forced-on high bit of t absorbs.
+  const std::uint64_t lo = word & ~swar_hi;
+  Column bound = kNoBound;
+  for (std::int32_t r = 0; r < n; ++r) {
+    const std::uint64_t tb =
+        swar_lo * static_cast<std::uint64_t>(static_cast<std::uint32_t>(t[r]));
+    const std::uint64_t above =
+        swar_hi & ((~tb & word) | ~((tb ^ word) | ((tb | swar_hi) - lo)));
+    const std::int32_t slack =
+        static_cast<std::int32_t>(Ts) - std::popcount(above) - k[r];
+    if (slack < 0) return -1;
+    if (slack == 0 && bound == kNoBound) bound = t[r];
+  }
+  return bound;
+}
+
+// child_bound() over an unpacked (multi-word) state.
+Column DpCall::child_bound(const std::int32_t* fields, std::size_t i) const {
+  const std::int32_t n = ws.thr_n[i];
+  if (n < 0) return -1;
+  const Column* const t = ws.thr_t.data() + i * Ts;
+  const std::int32_t* const k = ws.thr_k.data() + i * Ts;
+  Column bound = kNoBound;
+  for (std::int32_t r = 0; r < n; ++r) {
+    std::int32_t c = 0;
+    for (std::size_t j = 0; j < Ts; ++j) c += fields[j] <= t[r];
+    if (c < k[r]) return -1;
+    if (c == k[r] && bound == kNoBound) bound = t[r];
+  }
+  return bound;
+}
+
+// Drops from a state's untried children the ones column density proves
+// dead: next-free column past `bound`. Ticks are charged by class index
+// (cl - last_cl), so a dropped child's tick is still spent, by the next
+// child tried or the pop, exactly as for a dead-set hit. One-word: the
+// SWAR candidate bits, whose borrow-ripple false positives (field != L)
+// go uncounted.
+std::uint64_t DpCall::drop_dead(std::uint64_t cand, std::uint64_t word,
+                                std::uint64_t L, const Column* free,
+                                Column bound) {
+  for (std::uint64_t c = cand; c != 0; c &= c - 1) {
+    const auto bpos = static_cast<std::uint32_t>(std::countr_zero(c));
+    if (free[pos2cls[bpos]] <= bound) continue;
+    cand &= ~(1ull << bpos);
+    pruned_states += ((word >> (bpos + 1 - B)) & fm) == L;
+  }
+  return cand;
+}
+
+// Multi-word: compacts open[from, n), the untried open classes, in
+// place; returns the new n.
+std::int32_t DpCall::drop_dead(std::uint64_t* open, std::int32_t from,
+                               std::int32_t n, const Column* free,
+                               Column bound) {
+  std::int32_t kept = from;
+  for (std::int32_t i = from; i < n; ++i) {
+    if (free[open[i]] <= bound) {
+      open[kept++] = open[i];
+    } else {
+      ++pruned_states;
+    }
+  }
+  return kept;
+}
 
 // ---- Problem 3: the level sweep ----------------------------------------
 
@@ -644,9 +786,10 @@ bool DpCall::sweep() {
 // the sweep's answer is the lexicographically smallest complete sequence:
 // the one this search meets first (DESIGN.md §13.7). Every state expanded
 // here is a graph node the sweep builds, and none is expanded twice, so
-// states, ticks and node-limit hits never exceed the sweep's; an
-// infeasible instance expands exactly the sweep's nodes. On success fills
-// ws.class_choice.
+// states, ticks and node-limit hits never exceed the sweep's. Once a state
+// is proven dead, children that column density proves dead are skipped
+// like dead-set hits (DESIGN.md §13.8): they are dead, so the first
+// complete sequence met stays the same. On success fills ws.class_choice.
 bool DpCall::depth_first() {
   auto& npl = res.stats.nodes_per_level;
   npl.assign(1, 1);
@@ -687,6 +830,7 @@ bool DpCall::depth_first_loop(std::uint64_t node_cap) {
   std::uint64_t* const fw = ws.words.data();
   std::int32_t* const ff = ws.fields.data() + 3 * Cs;
   std::uint64_t visited = 1;  // the root
+  bool pruning = false;        // whether the thresholds are built
 
   // Entering a level for the first time builds its class tables; levels
   // are reached in order, so npl.size() is the number built.
@@ -735,6 +879,36 @@ bool DpCall::depth_first_loop(std::uint64_t node_cap) {
   const auto L0 = static_cast<std::int32_t>(left(0));
   std::size_t d = 0;  // level of the top frame
   const auto last = static_cast<std::size_t>(M) - 1;
+  // The first proven-dead state builds the thresholds; the search, popped
+  // back to level `top`, then re-tests its path: prune_frame(e) drops
+  // frame e's untried dead children and returns their bound. A state on
+  // the path that fails is dead and so is everything above it: those
+  // states go to the dead set and the search resumes beneath them.
+  // Returns the level to resume at, or -1 when the root fails (more than
+  // T connections share a column): the whole path is dead.
+  const auto start_pruning = [&](std::size_t top, auto&& prune_frame,
+                                 auto&& state_of) {
+    build_thresholds();
+    if (ws.thr_n[0] < 0) {
+      ++pruned_states;
+      dead_states += top + 1;
+      return std::ptrdiff_t{-1};
+    }
+    for (std::size_t e = 0; e < top; ++e) {
+      const Column bound = prune_frame(e);
+      if (lvl_free[e * Cs + static_cast<std::size_t>(frames[e].cl)] > bound) {
+        ++pruned_states;
+        for (std::size_t a = e + 1; a <= top; ++a) {
+          dead.insert(static_cast<std::uint32_t>(a), state_of(a),
+                      frames[a].h);
+          ++dead_states;
+        }
+        return static_cast<std::ptrdiff_t>(e);
+      }
+    }
+    prune_frame(top);
+    return static_cast<std::ptrdiff_t>(top);
+  };
 
   if constexpr (kOneWord) {
     // The top frame lives in registers; frames[] keeps the ones below it,
@@ -751,6 +925,9 @@ bool DpCall::depth_first_loop(std::uint64_t node_cap) {
     int last_cl = -1;      // ticks are consumed through this class index
     const auto open_state = [&] {
       cand = candidate_bits(word, swar_lo, lv->left, lv->open_hi);
+      if (pruning && cand != 0) [[unlikely]] {
+        cand = drop_dead(cand, word, lv->left, free, child_bound(word, d + 1));
+      }
       if (cand != 0) cw = clamp_word(word, lv->left, lv->next_left, Ts, B, fm);
     };
     open_state();
@@ -806,7 +983,23 @@ bool DpCall::depth_first_loop(std::uint64_t node_cap) {
       dead.insert(static_cast<std::uint32_t>(d), &word, h);
       ++dead_states;
       if (d == 0) return infeasible();
-      const DfsFrame& f = frames[--d];
+      --d;
+      if (!pruning) {
+        pruning = true;
+        const std::ptrdiff_t at = start_pruning(
+            d,
+            [&](std::size_t e) {
+              DfsFrame& fe = frames[e];
+              const Column bound = child_bound(fe.word, e + 1);
+              fe.cand = drop_dead(fe.cand, fe.word, levels[e].left,
+                                  lvl_free + e * Cs, bound);
+              return bound;
+            },
+            [&](std::size_t e) { return &frames[e].word; });
+        if (at < 0) return infeasible();
+        d = static_cast<std::size_t>(at);
+      }
+      const DfsFrame& f = frames[d];
       word = f.word;
       cw = f.cw;
       cand = f.cand;
@@ -853,6 +1046,9 @@ bool DpCall::depth_first_loop(std::uint64_t node_cap) {
       const auto Ln = static_cast<std::int32_t>(levels[d].next_left);
       for (std::size_t j = 0; j < Ts; ++j) cf[j] = std::max(cf[j], Ln);
       ws.codec.pack(cf, cw);
+      if (pruning) {
+        f.n_open = drop_dead(open, 0, f.n_open, free, child_bound(cf, d + 1));
+      }
       for (std::int32_t i = 0; i < f.n_open; ++i) {
         const auto cl = static_cast<int>(open[i]);
         const auto c = static_cast<std::size_t>(cl);
@@ -907,6 +1103,22 @@ bool DpCall::depth_first_loop(std::uint64_t node_cap) {
       ++dead_states;
       if (d == 0) return infeasible();
       --d;
+      if (!pruning) {
+        pruning = true;
+        const std::ptrdiff_t at = start_pruning(
+            d,
+            [&](std::size_t e) {
+              DfsFrame& fe = frames[e];
+              const Column bound = child_bound(ff + e * Ts, e + 1);
+              fe.n_open = drop_dead(fw + e * lvl_words + (2 + Cs) * W + Cs,
+                                    fe.next_open, fe.n_open,
+                                    lvl_free + e * Cs, bound);
+              return bound;
+            },
+            [&](std::size_t e) { return fw + e * lvl_words; });
+        if (at < 0) return infeasible();
+        d = static_cast<std::size_t>(at);
+      }
     }
   }
 }
@@ -1091,6 +1303,7 @@ RouteResult dp_route(const SegmentedChannel& ch, const ConnectionSet& cs,
               cls_pos};
   if (W == 1) {
     for (std::size_t j = 0; j < Ts; ++j) call.swar_lo |= 1ull << (j * B);
+    call.swar_hi = call.swar_lo << (B - 1);
     for (int cl = 0; cl < num_classes; ++cl) {
       call.pos2cls[static_cast<std::uint32_t>(cls_pos[3 * cl + 1]) + B - 1] =
           static_cast<std::uint8_t>(cl);
@@ -1111,9 +1324,12 @@ RouteResult dp_route(const SegmentedChannel& ch, const ConnectionSet& cs,
                               res.stats.nodes_per_level.end());
   SEGROUTE_COUNT("dp.routes", 1);
   SEGROUTE_COUNT("dp.nodes_created", res.stats.total_nodes);
-  // A search that never backtracks has neither: skip the atomics.
+  // A search that never backtracks has none of these: skip the atomics.
   if (call.dedup_hits != 0) SEGROUTE_COUNT("dp.dedup_hits", call.dedup_hits);
   if (call.dead_states != 0) SEGROUTE_COUNT("dp.dead_states", call.dead_states);
+  if (call.pruned_states != 0) {
+    SEGROUTE_COUNT("dp.pruned_states", call.pruned_states);
+  }
   SEGROUTE_GAUGE_MAX("dp.frontier_high_water", res.stats.max_level_nodes);
   // Packed-word bytes held by the search's state store: the sweep's
   // frontier arena, the depth-first search's dead set.

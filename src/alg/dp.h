@@ -24,7 +24,13 @@
 // path is the lexicographically smallest complete class sequence, which
 // is exactly the path the sweep's first-discoverer parents spell, so the
 // routing is the sweep's, bit for bit; every state it expands is one the
-// sweep would build (DESIGN.md §13.7).
+// sweep would build (DESIGN.md §13.7). Once the search has proven one
+// state dead, it also skips every child that column density proves dead:
+// connections sharing a column need distinct tracks, so a state whose
+// tracks free up too late for the remaining connections' overlaps cannot
+// reach the last level (DESIGN.md §13.8). Skipping only dead states keeps
+// the routing and the failure kind; the search visits no more states than
+// the graph holds, and usually far fewer.
 //
 // Storage is bit-parallel: each frontier is packed into a fixed number
 // of 64-bit occupancy words (alg/frontier_bits.h; each entry takes
@@ -212,6 +218,16 @@ struct DpWorkspace {
   std::vector<DfsFrame> frames;  // depth-first stack, one frame per level
   std::vector<DfsLevel> levels;
   DeadSet dead;
+  /// The depth-first search's column-density thresholds, built the first
+  /// time a call proves a state dead. Level i's row holds thr_n[i] runs
+  /// (-1: more than T of the connections i..M-1 share a column; level M
+  /// has none), run r saying that thr_k[i*T+r] tracks must be free by
+  /// column thr_t[i*T+r]; thr_dens is the build's per-connection overlap
+  /// count.
+  std::vector<std::int32_t> thr_n;
+  std::vector<Column> thr_t;
+  std::vector<std::int32_t> thr_k;
+  std::vector<std::int32_t> thr_dens;
   std::vector<ConnId> order;
   std::vector<TrackId> class_members;  // member tracks, flattened by class
   std::vector<int> class_begin;        // per-class offsets into class_members
@@ -254,10 +270,11 @@ struct DpOptions {
 /// Problem 3: `stats.nodes_per_level` reports the size of each level of
 /// the assignment graph (the paper's L is `stats.max_level_nodes`).
 /// Problems 1 and 2: it reports the states the depth-first search
-/// visited per level, at most the graph's level sizes, and equal to them
-/// on an infeasible instance. To measure the full graph of a Problem-1/2
-/// instance, route it with `weights::unit()` (same graph, and the same
-/// routing).
+/// visited per level, at most the graph's level sizes and over no more
+/// levels; states that column density proves dead are skipped unvisited,
+/// so even an infeasible instance may stop short of the sweep's levels.
+/// To measure the full graph of a Problem-1/2 instance, route it with
+/// `weights::unit()` (same graph, and the same routing).
 RouteResult dp_route(const SegmentedChannel& ch, const ConnectionSet& cs,
                      const DpOptions& opts = {});
 

@@ -64,8 +64,8 @@ struct RouteStats {
   /// after routing the first i connections). The level sweeps (dp_route
   /// under Problem 3, the generalized DP) hold the whole assignment
   /// graph; dp_route's depth-first search of Problems 1 and 2 counts the
-  /// states it visited, at most the graph's level sizes (equal to them
-  /// when the instance is infeasible).
+  /// states it visited, at most the graph's level sizes and over no more
+  /// levels (states that column density proves dead are never visited).
   std::vector<std::size_t> nodes_per_level;
   /// DP routers: the sum of nodes_per_level.
   std::uint64_t total_nodes = 0;

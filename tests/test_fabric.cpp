@@ -185,22 +185,25 @@ TEST(Fabric, BudgetExhaustionReportsPerChannelFailure) {
 }
 
 // A fabric deadline is one end time for the whole search, not a per-part
-// slice with a floor: on bench_fabric's `large` scenario at 7 tracks, a
-// 1 ms deadline stops well before the unlimited run does. A ratio keeps
-// the test meaningful under the sanitizers' slowdowns.
+// slice with a floor: a 1 ms deadline stops well before the unlimited run
+// does. The scenario's unlimited search routes 10 tracks in 6 iterations
+// and takes about 50 ms on a 4-thread host, so the bound keeps a margin of
+// tens of milliseconds under a loaded parallel test run; a ratio keeps the
+// test meaningful under the sanitizers' slowdowns.
 TEST(Fabric, DeadlineBoundsTheWholeSearch) {
   using Clock = std::chrono::steady_clock;
-  const Scenario sc = make_scenario(303, /*rows=*/5, /*slots=*/16,
-                                    /*nets=*/56);
+  const Scenario sc = make_scenario(304, /*rows=*/6, /*slots=*/20,
+                                    /*nets=*/90);
   const FabricRouter fr(sc.dev, sc.nl, sc.p, staggered_factory(6));
   const auto ms_of = [&fr](const FabricOptions& o, FabricResult& res) {
     const auto t0 = Clock::now();
-    res = fr.route(/*tracks=*/7, o);
+    res = fr.route(/*tracks=*/10, o);
     return std::chrono::duration<double, std::milli>(Clock::now() - t0)
         .count();
   };
   FabricResult unlimited, bounded;
   const double unlimited_ms = ms_of(FabricOptions{}, unlimited);
+  EXPECT_TRUE(unlimited.success) << unlimited.note;
   FabricOptions o;
   o.budget = harness::Budget::with_deadline(std::chrono::milliseconds(1));
   const double bounded_ms = ms_of(o, bounded);

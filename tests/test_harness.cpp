@@ -557,22 +557,29 @@ TEST(RobustRoute, DeadlineHonoredWithGracefulFallback) {
   const auto body = gen::routable_workload(SegmentedChannel(tracks), 120, 6.0,
                                            rng, /*max_segments=*/1);
   ASSERT_GE(body.size(), 80);
-  // The depth-first search of Problem 1 must be hostile too. Widen the
-  // channel by a two-column tail that every striped track cuts off, and
-  // add an uncut track first: the search tries it first for every
-  // connection, and any connection on it blocks it for good. A closing
-  // block of T + 1 tail connections needs every track, uncut one
-  // included, so each such branch dies only at the last column, after the
-  // search has walked the whole striped graph beneath it.
-  std::vector<Track> wide{Track(width + 2, {})};
+  // The depth-first search of Problem 1 must be hostile too, in a way
+  // column density cannot see. Widen the channel by a four-column tail
+  // that every striped track cuts off as one segment, and add an uncut
+  // track first: the search tries it first for every connection, and any
+  // connection on it blocks it for good. A closing block of T + 1
+  // one-column tail connections, at most five on a column, needs every
+  // track, uncut one included, since a segment hosts one connection; so
+  // each such branch dies only at the tail, after the search has walked
+  // the whole striped graph beneath it.
+  constexpr Column kTail = 4;
+  std::vector<Track> wide{Track(width + kTail, {})};
   for (const Track& tr : tracks) {
     std::vector<Column> cuts;
     for (const Segment& s : tr.segments()) cuts.push_back(s.right);
-    wide.emplace_back(width + 2, std::move(cuts));  // the last cut is `width`
+    wide.emplace_back(width + kTail, std::move(cuts));  // last cut: `width`
   }
   const SegmentedChannel ch(std::move(wide));
   ConnectionSet cs = body;
-  for (TrackId t = 0; t <= T; ++t) cs.add(width + 1, width + 2);
+  for (TrackId t = 0; t <= T; ++t) {
+    const Column c = width + 1 + t % kTail;
+    cs.add(c, c);
+  }
+  ASSERT_LE(cs.density(), T);
 
   RobustOptions o;
   o.deadline = std::chrono::milliseconds(50);

@@ -18,6 +18,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "alg/delta.h"
@@ -474,23 +475,52 @@ TEST(ObsRouting, InstrumentationFollowsBuildMode) {
 }
 
 // The depth-first search (Problems 1 and 2) counts the states it proved
-// dead, flushed once per call; the weighted sweep adds none.
+// dead and the ones column density skipped, flushed once per call; the
+// weighted sweep adds to neither.
 TEST(ObsRouting, DpCountsTheDepthFirstSearchsDeadStates) {
   const auto inst = gen::suite_instance("staggered-mid");  // infeasible
   Counter& dead = Registry::instance().counter("dp.dead_states");
+  Counter& pruned = Registry::instance().counter("dp.pruned_states");
   const std::uint64_t dead0 = dead.value();
+  const std::uint64_t pruned0 = pruned.value();
   TraceSession session;
   ASSERT_TRUE(session.start());
   const auto plain = alg::dp_route_unlimited(inst.channel, inst.connections);
+  const std::uint64_t dead1 = dead.value();
+  const std::uint64_t pruned1 = pruned.value();
   const auto weighted = alg::dp_route_optimal(inst.channel, inst.connections,
                                               weights::unit());
   session.stop();
   ASSERT_FALSE(plain.success);
   ASSERT_EQ(plain.failure, alg::FailureKind::kInfeasible);
   ASSERT_FALSE(weighted.success);
+  // Column density cut the search short of the full graph.
+  EXPECT_LT(plain.stats.total_nodes, weighted.stats.total_nodes);
+
+  // A feasible edit-session live set whose search backtracks, so the
+  // prune fires on the way to a routing.
+  const auto edit_ch = gen::staggered_segmentation(8, 64, 8);
+  ConnectionSet live;
+  for (const auto& [l, r] : std::vector<std::pair<Column, Column>>{
+           {8, 11},  {30, 35}, {29, 36}, {9, 19},  {28, 42}, {11, 11},
+           {31, 31}, {32, 33}, {37, 46}, {27, 32}, {4, 10},  {11, 25},
+           {26, 30}, {25, 35}, {23, 36}, {2, 7},   {32, 41}, {18, 22},
+           {3, 3}}) {
+    live.add(l, r);
+  }
+  const std::uint64_t dead2 = dead.value();
+  const std::uint64_t pruned2 = pruned.value();
+  const auto routed = alg::dp_route_unlimited(edit_ch, live);
+  ASSERT_TRUE(routed.success) << routed.note;
+  EXPECT_TRUE(routed.routing ==
+              alg::dp_route_optimal(edit_ch, live, weights::unit()).routing);
+  EXPECT_EQ(dead2, dead1);  // the sweep adds to neither
+  EXPECT_EQ(pruned2, pruned1);
 #if SEGROUTE_OBS_ENABLED
   // Infeasible: every state the search visited was proven dead.
-  EXPECT_EQ(dead.value() - dead0, plain.stats.total_nodes);
+  EXPECT_EQ(dead1 - dead0, plain.stats.total_nodes);
+  EXPECT_GT(pruned1 - pruned0, 0u);
+  EXPECT_GT(pruned.value() - pruned2, 0u);
   // One outcome-tagged alg.dp_route span per call, nothing nested.
   EXPECT_EQ(count_events(session.events(), "alg.dp_route"), 2u);
   for (const TraceEvent& e : session.events()) {
@@ -500,6 +530,7 @@ TEST(ObsRouting, DpCountsTheDepthFirstSearchsDeadStates) {
   }
 #else
   EXPECT_EQ(dead.value(), dead0);
+  EXPECT_EQ(pruned.value(), pruned0);
   EXPECT_TRUE(session.events().empty());
 #endif
 }
